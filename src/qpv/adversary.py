@@ -26,7 +26,8 @@ secret BSM outcome at t = x, which must trigger a causality violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +59,8 @@ class AttackConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGIES)}")
         if not (0 < self.delta < self.protocol.x):
             raise ValueError(f"delta must satisfy 0 < delta < x, got delta={self.delta}, x={self.protocol.x}")
+        if self.delta < math.ulp(2 * self.protocol.x):  # 2x + delta would round onto 2x
+            raise ValueError(f"delta={self.delta} is below the float resolution ulp(2x) at x={self.protocol.x}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
 
@@ -296,6 +299,13 @@ def _execute_attack(config: AttackConfig, core: TrialCore) -> tuple[_ColluderPai
     return strategy, events
 
 
+def _verdicts(core: TrialCore, diagnostic: bool) -> list[Verdict]:
+    """Judge the finished run; the diagnostic verdict has infinite deadline slack."""
+    if diagnostic:
+        core.config = replace(core.config, deadline_slack=math.inf)
+    return core.compute_verdicts()
+
+
 def run_attack(
     config: AttackConfig,
     seed: int | None = None,
@@ -304,15 +314,15 @@ def run_attack(
 ) -> AttackOutcome:
     """Execute one adversary trial; verifiers behave exactly as in run_honest.
 
-    ``diagnostic`` disables the deadline filter in the verdict (content checks
-    only), for demonstrating that correlations alone do not defeat an attack.
+    ``diagnostic`` judges with infinite deadline slack (content checks only),
+    for demonstrating that correlations alone do not defeat an attack.
     A strategy that tries to use classical values outside its light cone
     aborts the run with CausalityViolationError.
     """
     config.validate()
     core = TrialCore(config.protocol, seed)
     strategy, events = _execute_attack(config, core)
-    verdict = core.compute_verdict(enforce_deadline=False) if diagnostic else core.verdicts[0]
+    verdict = _verdicts(core, diagnostic)[0]
     transcripts = core.build_transcripts() if collect_transcripts else []
     return AttackOutcome(
         verdict=verdict,
@@ -329,6 +339,4 @@ def run_attack_batch(config: AttackConfig, trial_seeds, diagnostic: bool = False
     config.validate()
     core = TrialCore(config.protocol, trial_seeds=trial_seeds)
     _execute_attack(config, core)
-    if diagnostic:
-        return core.compute_verdicts(enforce_deadline=False)
-    return core.verdicts
+    return _verdicts(core, diagnostic)

@@ -50,6 +50,9 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not self.n_values:
             raise ValueError("n_values must be non-empty")
+        for n in self.n_values:
+            _trial_config(self.scenario, n, x=self.x, delta=self.delta, rounds=self.rounds,
+                          variant=self.variant).validate()
 
 
 @dataclass(frozen=True)
@@ -98,16 +101,22 @@ def trial_seed(master_seed: int, scenario: str, n: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _trial_config(scenario: str, n: int, *, x: float, delta: float, rounds: int,
+                  variant: str) -> ProtocolConfig | AttackConfig:
+    protocol = ProtocolConfig(n=n, x=x, variant=variant)
+    if scenario == "honest":
+        return protocol
+    return AttackConfig(strategy=scenario, delta=delta, rounds=rounds, protocol=protocol)
+
+
 def run_trial(scenario: str, n: int, seed: int, *, x: float = 1.0, delta: float = 0.1,
               rounds: int = 1, variant: str = "two_bit") -> bool:
     """One trial; returns whether the verifiers accepted."""
-    protocol = ProtocolConfig(n=n, x=x, variant=variant)
+    config = _trial_config(scenario, n, x=x, delta=delta, rounds=rounds, variant=variant)
     if scenario == "honest":
-        verdict, _, _ = run_honest(protocol, seed, collect_transcripts=False)
+        verdict, _, _ = run_honest(config, seed, collect_transcripts=False)
         return verdict.accepted
-    attack = AttackConfig(strategy=scenario, delta=delta, rounds=rounds, protocol=protocol)
-    outcome = run_attack(attack, seed, collect_transcripts=False)
-    return outcome.verdict.accepted
+    return run_attack(config, seed, collect_transcripts=False).verdict.accepted
 
 
 # Cap on register rows per vectorized pass; keeps peak state arrays small.
@@ -117,19 +126,12 @@ _BATCH_SLOTS = 4096
 def run_trial_batch(scenario: str, n: int, seeds: Sequence[int], *, x: float = 1.0, delta: float = 0.1,
                     rounds: int = 1, variant: str = "two_bit") -> int:
     """Accepted-trial count over ``seeds``, chunked through the batched core."""
-    protocol = ProtocolConfig(n=n, x=x, variant=variant)
-    attack = None
-    if scenario != "honest":
-        attack = AttackConfig(strategy=scenario, delta=delta, rounds=rounds, protocol=protocol)
+    config = _trial_config(scenario, n, x=x, delta=delta, rounds=rounds, variant=variant)
+    run_batch = run_honest_batch if scenario == "honest" else run_attack_batch
     chunk = max(1, _BATCH_SLOTS // n)
     accepted = 0
     for start in range(0, len(seeds), chunk):
-        batch = seeds[start:start + chunk]
-        if scenario == "honest":
-            verdicts = run_honest_batch(protocol, batch)
-        else:
-            verdicts = run_attack_batch(attack, batch)
-        accepted += sum(v.accepted for v in verdicts)
+        accepted += sum(v.accepted for v in run_batch(config, seeds[start:start + chunk]))
     return accepted
 
 

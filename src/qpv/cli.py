@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     atk_p.add_argument("--deadline-slack", dest="deadline_slack", type=float)
     atk_p.add_argument("--seed", type=int)
     atk_p.add_argument("--diagnostic", action="store_true",
-                       help="disable the timing check in the verdict (content checks only)")
+                       help="judge with infinite deadline slack (content checks only)")
     atk_p.set_defaults(func=cmd_attack)
 
     mc_p = sub.add_parser("montecarlo", help="estimate acceptance/detection rates over many trials")

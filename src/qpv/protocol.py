@@ -18,6 +18,14 @@ The prover cannot clone its corrected half, so step 3 re-prepares the
 measured Hadamard eigenstate; the physical state report is carried as the
 measurement bit, which is lossless for |+>/|-> challenges. The verifiers'
 checks and the verdict pooling are shared verbatim with the adversary runs.
+
+Deadline rule: the verdict is computed once, after the run is quiescent. A
+material (a report or announcement copy at either verifier) is usable iff its
+first arrival time is finite and <= 2x/c + slack. The comparison is exact,
+with ties accepted and no tolerance, so a response that meets the deadline
+only up to float rounding can land on either side (x = 0.3 with
+slack = prover delay = 0.7 arrives after the deadline and is rejected). A
+caller who needs a margin sets the slack.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantum import BatchRegister, BellLabel, BsmOutcome, pauli_frame_from
+from .quantum import BatchRegister, BellLabel, BsmOutcome
 from .spacetime import Actor, CausalityViolationError, Event, Timeline, verify_causality
 
 SPEED_OF_LIGHT = 1.0
@@ -44,7 +52,6 @@ REASON_V1 = "v1_inconsistent"
 REASON_V2 = "v2_inconsistent"
 
 _MISSING = -1
-_TIME_EPS = 1e-12
 
 
 @dataclass
@@ -125,11 +132,10 @@ class Verdict:
 def verify_v1(psi: int, reported_state: int, w_prime: BsmOutcome, shared: BellLabel) -> bool:
     """V1's consistency check of the reported state against its own teleport.
 
-    The corrected half is sigma_z^k sigma_x^k' |psi>, whose Hadamard value for
-    |+>/|-> challenges is psi xor k.
+    The corrected half is sigma_z^k sigma_x^k' |psi> with k = shared.a xor
+    w'.first, and its Hadamard value for |+>/|-> challenges is psi xor k.
     """
-    frame = pauli_frame_from(shared, w_prime)
-    return reported_state == (psi ^ frame.k)
+    return reported_state == psi ^ shared.a ^ w_prime.first
 
 
 def reduce_announcement(pp_prime: BsmOutcome, shared: BellLabel) -> int:
@@ -155,21 +161,20 @@ def verify_v2(
     if variant == VARIANT_TWO_BIT:
         if not isinstance(announcement, BsmOutcome):
             raise ValueError("two_bit variant requires a full BsmOutcome announcement")
-        l = pauli_frame_from(shared, announcement).k
+        first = announcement.first
     elif variant == VARIANT_SINGLE_BIT:
         if isinstance(announcement, BsmOutcome) or announcement not in (0, 1):
             raise ValueError("single_bit variant requires a one-bit announcement")
-        l = shared.a ^ announcement
+        first = announcement
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return v2_measured == (reported_state ^ l)
+    return v2_measured == reported_state ^ shared.a ^ first
 
 
 class MaterialStore:
     """Prover materials received by one verifier; first arrival of each kind wins."""
 
     def __init__(self, n: int):
-        self.n = n
         self.report = np.full(n, _MISSING, dtype=np.int64)
         self.report_time = math.inf
         self.announcement = np.full(n, _MISSING, dtype=np.int64)
@@ -189,92 +194,68 @@ class MaterialStore:
         return math.isfinite(self.report_time)
 
 
-def _announcement_obj(value: int, variant: str) -> "BsmOutcome | int":
-    return BsmOutcome.from_index(int(value)) if variant == VARIANT_TWO_BIT else int(value)
-
-
 def judge(
     config: ProtocolConfig,
     challenges: np.ndarray,
-    labels_v1: Sequence[BellLabel],
-    labels_v2: Sequence[BellLabel],
-    w_prime: Sequence[BsmOutcome],
+    labels_v1: np.ndarray,
+    labels_v2: np.ndarray,
+    w_prime: np.ndarray,
     v2_measured: np.ndarray | None,
     materials_v1: MaterialStore,
     materials_v2: MaterialStore,
-    enforce_deadline: bool = True,
-) -> Verdict:
-    """Pooled verdict over both verifiers' knowledge and received materials.
+) -> list[Verdict]:
+    """Pooled verdict of each trial, over both verifiers' knowledge and materials.
 
-    Identical for honest runs and attacks. A report copy failing V1's
-    expectation (either verifier's copy) is a v1 inconsistency; a decode
-    failure at V2 or mismatching announcement duplicates is a v2
-    inconsistency. Missing or late required materials fail on timing.
-    Announcement duplicates are compared only when both copies are usable;
-    a missing duplicate counts against the prover only under
-    ``config.strict_duplicates``.
+    Identical for honest runs and attacks. Every array holds one integer per
+    slot, trial-major (``trials * n`` slots). The frame is shared xor outcome
+    and the checks need only its first (phase-flip) bit, so each is an XOR
+    over all slots at once: V1 checks both report copies against
+    ``psi ^ ((l1 ^ w') >> 1)``; V2 checks ``v2 == report_2 ^ ((l2 ^ ann_2) >> 1)``,
+    or ``report_2 ^ (l2 >> 1) ^ ann_2`` for one-bit announcements, which are
+    that first bit; the announcement duplicates must agree.
+
+    A material is usable iff its first arrival time is finite and
+    <= ``deadline(config)`` = 2x/c + slack: exact, ties accepted, no
+    tolerance, so an arrival that meets the deadline only up to rounding can
+    land on either side; a caller who needs a margin sets the slack. A missing
+    or late required material fails on timing, which outranks a v1
+    inconsistency (either report copy), which outranks a v2 inconsistency
+    (decode failure or mismatching duplicates). Duplicates are compared only
+    when both copies are usable; a missing one counts against the prover only
+    under ``config.strict_duplicates``.
     """
-    cutoff = deadline(config) + _TIME_EPS
+    cutoff = deadline(config)
+    r1, r2, a1, a2 = (math.isfinite(t) and t <= cutoff for t in (
+        materials_v1.report_time, materials_v2.report_time,
+        materials_v1.announcement_time, materials_v2.announcement_time))
+    trials = len(challenges) // config.n
+    if not (r1 and r2 and a2 and v2_measured is not None and (a1 or not config.strict_duplicates)):
+        return [Verdict(False, REASON_TIMING, [False] * config.n) for _ in range(trials)]
 
-    def usable(time: float) -> bool:
-        return math.isfinite(time) and (not enforce_deadline or time <= cutoff)
-
-    r1_ok_time = usable(materials_v1.report_time)
-    r2_ok_time = usable(materials_v2.report_time)
-    a1_ok_time = usable(materials_v1.announcement_time)
-    a2_ok_time = usable(materials_v2.announcement_time)
-
-    timing_fail = v1_fail = v2_fail = False
-    pair_passes: list[bool] = []
-    for i in range(config.n):
-        timing_ok = r1_ok_time and r2_ok_time and a2_ok_time and (v2_measured is not None)
-        if config.strict_duplicates:
-            timing_ok = timing_ok and a1_ok_time
-
-        v1_ok = False
-        if r1_ok_time and r2_ok_time:
-            psi = int(challenges[i])
-            v1_ok = verify_v1(psi, int(materials_v1.report[i]), w_prime[i], labels_v1[i]) and verify_v1(
-                psi, int(materials_v2.report[i]), w_prime[i], labels_v1[i]
-            )
-
-        v2_ok = False
-        if r2_ok_time and a2_ok_time and v2_measured is not None:
-            v2_ok = verify_v2(
-                int(materials_v2.report[i]),
-                _announcement_obj(materials_v2.announcement[i], config.variant),
-                int(v2_measured[i]),
-                labels_v2[i],
-                config.variant,
-            )
-
-        if a1_ok_time and a2_ok_time:
-            dup_ok = int(materials_v1.announcement[i]) == int(materials_v2.announcement[i])
-        else:
-            dup_ok = not config.strict_duplicates
-
-        ok = timing_ok and v1_ok and v2_ok and dup_ok
-        pair_passes.append(ok)
-        timing_fail = timing_fail or not timing_ok
-        v1_fail = v1_fail or not v1_ok
-        v2_fail = v2_fail or not (v2_ok and dup_ok)
-
-    if not any([timing_fail, v1_fail, v2_fail]):
-        return Verdict(True, REASON_OK, pair_passes)
-    if timing_fail:
-        reason = REASON_TIMING
-    elif v1_fail:
-        reason = REASON_V1
+    report_2, ann_2 = materials_v2.report, materials_v2.announcement
+    expected = challenges ^ ((labels_v1 ^ w_prime) >> 1)
+    v1_bad = (materials_v1.report != expected) | (report_2 != expected)
+    if config.variant == VARIANT_TWO_BIT:
+        k_2 = (labels_v2 ^ ann_2) >> 1
     else:
-        reason = REASON_V2
-    return Verdict(False, reason, pair_passes)
+        k_2 = (labels_v2 >> 1) ^ ann_2
+    v2_bad = v2_measured != report_2 ^ k_2
+    if a1:  # a missing V1 copy passed the timing check only if duplicates are lenient
+        v2_bad |= materials_v1.announcement != ann_2
+    passes = (~(v1_bad | v2_bad)).reshape(trials, config.n).tolist()
+    v1_failed = v1_bad.reshape(trials, config.n).any(axis=1).tolist()
+    verdicts = []
+    for row, bad_v1 in zip(passes, v1_failed):
+        ok = all(row)
+        verdicts.append(Verdict(ok, REASON_V1 if bad_v1 else REASON_OK if ok else REASON_V2, row))
+    return verdicts
 
 
 class TrialCore:
     """Verifier-side machinery shared by honest runs and adversary runs.
 
     Owns the timeline, the two channel registers, the verifiers' secret
-    choices and received materials, and the pooled verdicts. Each trial's
+    choices and received materials, and judges the finished run. Each trial's
     generator is consumed in event order: challenge sampling first, then each
     quantum measurement as its event executes.
 
@@ -315,8 +296,8 @@ class TrialCore:
             self.challenges = np.tile(fixed, self.trials)
         else:
             self.challenges = self.sample_bits()
-        self.labels_v1 = list(config.bell_labels_v1) if config.bell_labels_v1 is not None else [BellLabel(0, 0)] * self.n
-        self.labels_v2 = list(config.bell_labels_v2) if config.bell_labels_v2 is not None else [BellLabel(0, 0)] * self.n
+        self.labels_v1 = self.slot_labels(config.bell_labels_v1)
+        self.labels_v2 = self.slot_labels(config.bell_labels_v2)
 
         self.reg_v1side = BatchRegister(self.slots)
         self.reg_v2side = BatchRegister(self.slots)
@@ -329,7 +310,6 @@ class TrialCore:
         self.v2_measured_at = math.inf
         self.materials_v1 = MaterialStore(self.slots)
         self.materials_v2 = MaterialStore(self.slots)
-        self.verdicts: list[Verdict] | None = None
         self.timeline: Timeline | None = None
         self.timestamps: dict[str, float] = {}
 
@@ -346,9 +326,10 @@ class TrialCore:
             return self.rngs[0].integers(0, 2, size=self.n)
         return np.concatenate([rng.integers(0, 2, size=self.n) for rng in self.rngs])
 
-    def tile_labels(self, labels: Sequence[BellLabel]) -> np.ndarray:
-        per_pair = np.array([lab.index for lab in labels], dtype=np.intp)
-        return np.tile(per_pair, self.trials) if self.trials > 1 else per_pair
+    def slot_labels(self, labels: Sequence[BellLabel] | None) -> np.ndarray:
+        """Bell label index of every register row; |00> when unset."""
+        per_pair = [lab.index for lab in labels] if labels is not None else [0] * self.n
+        return np.tile(np.array(per_pair, dtype=np.intp), self.trials)
 
     # -- setup ----------------------------------------------------------------
 
@@ -361,16 +342,14 @@ class TrialCore:
         tl = self.timeline
 
         def v1_prepare() -> None:
-            labels = self.tile_labels(self.labels_v1)
-            self.q_v1, self.q_p1 = self.reg_v1side.append_bell(labels, self.v1.id, self.v1.id)
-            tl.new_value(self.v1, "bell_labels_v1", labels)
+            self.q_v1, self.q_p1 = self.reg_v1side.append_bell(self.labels_v1, self.v1.id, self.v1.id)
+            tl.new_value(self.v1, "bell_labels_v1", self.labels_v1)
             tl.new_value(self.v1, "challenges", self.challenges)
             tl.send(self.v1, p1_receiver, "channel_half_v1", qubits=[self.q_p1], handler=p1_handler)
 
         def v2_prepare() -> None:
-            labels = self.tile_labels(self.labels_v2)
-            self.q_v2, self.q_p2 = self.reg_v2side.append_bell(labels, self.v2.id, self.v2.id)
-            tl.new_value(self.v2, "bell_labels_v2", labels)
+            self.q_v2, self.q_p2 = self.reg_v2side.append_bell(self.labels_v2, self.v2.id, self.v2.id)
+            tl.new_value(self.v2, "bell_labels_v2", self.labels_v2)
             tl.send(self.v2, p2_receiver, "channel_half_v2", qubits=[self.q_p2], handler=p2_handler)
 
         tl.schedule(0.0, self.v1, "prepare", v1_prepare, "prepare Bell pairs, send halves")
@@ -415,46 +394,15 @@ class TrialCore:
     # -- pooling ----------------------------------------------------------------
 
     def schedule_pool(self) -> None:
-        tl = self.timeline
+        """t = deadline: the pool event marks the meeting; the verdict waits for quiescence."""
+        at = deadline(self.config)
+        self.timeline.schedule(at, self.pool, "pool", None, "verifiers exchange outcomes and decide")
+        self.timestamps["pooled_at"] = at
 
-        def pool_event() -> None:
-            self.verdicts = self.compute_verdicts(enforce_deadline=True)
-            self.timestamps["pooled_at"] = tl.now
-
-        tl.schedule(deadline(self.config), self.pool, "pool", pool_event, "verifiers exchange outcomes and decide")
-
-    def _materials_slice(self, store: MaterialStore, trial: int) -> MaterialStore:
-        view = MaterialStore.__new__(MaterialStore)
-        view.n = self.n
-        lo, hi = trial * self.n, (trial + 1) * self.n
-        view.report = store.report[lo:hi]
-        view.report_time = store.report_time
-        view.announcement = store.announcement[lo:hi]
-        view.announcement_time = store.announcement_time
-        return view
-
-    def compute_verdicts(self, enforce_deadline: bool = True) -> list[Verdict]:
-        if self.w_prime is None:
-            return [Verdict(False, REASON_TIMING, [False] * self.n) for _ in range(self.trials)]
-        verdicts = []
-        for trial in range(self.trials):
-            lo, hi = trial * self.n, (trial + 1) * self.n
-            w = [BsmOutcome.from_index(int(idx)) for idx in self.w_prime[lo:hi]]
-            verdicts.append(judge(
-                self.config,
-                self.challenges[lo:hi],
-                self.labels_v1,
-                self.labels_v2,
-                w,
-                self.v2_measured[lo:hi] if self.v2_measured is not None else None,
-                self._materials_slice(self.materials_v1, trial),
-                self._materials_slice(self.materials_v2, trial),
-                enforce_deadline=enforce_deadline,
-            ))
-        return verdicts
-
-    def compute_verdict(self, enforce_deadline: bool = True) -> Verdict:
-        return self.compute_verdicts(enforce_deadline=enforce_deadline)[0]
+    def compute_verdicts(self) -> list[Verdict]:
+        """One verdict per trial; call once the run is quiescent."""
+        return judge(self.config, self.challenges, self.labels_v1, self.labels_v2, self.w_prime,
+                     self.v2_measured, self.materials_v1, self.materials_v2)
 
     # -- runner -----------------------------------------------------------------
 
@@ -477,10 +425,12 @@ class TrialCore:
         common["announcement_v2_arrived"] = self.materials_v2.announcement_time
         common["v2_measured_at"] = self.v2_measured_at
         for i in range(self.n):
-            w = BsmOutcome.from_index(int(self.w_prime[i])) if self.w_prime is not None else BsmOutcome(0, 0)
+            w = BsmOutcome.from_index(int(self.w_prime[i]))
             ann = None
             if math.isfinite(self.materials_v2.announcement_time):
-                ann = _announcement_obj(self.materials_v2.announcement[i], self.config.variant)
+                ann = int(self.materials_v2.announcement[i])
+                if self.config.variant == VARIANT_TWO_BIT:
+                    ann = BsmOutcome.from_index(ann)
             report = int(self.materials_v1.report[i]) if math.isfinite(self.materials_v1.report_time) else None
             v2_out = int(self.v2_measured[i]) if self.v2_measured is not None else None
             transcripts.append(PairTranscript(w, ann, report, v2_out, dict(common)))
@@ -539,11 +489,11 @@ def run_honest(
     core = TrialCore(config, seed)
     events = _execute_honest(core)
     transcripts = core.build_transcripts() if collect_transcripts else []
-    return core.verdicts[0], transcripts, events
+    return core.compute_verdicts()[0], transcripts, events
 
 
 def run_honest_batch(config: ProtocolConfig, trial_seeds: Sequence[int]) -> list[Verdict]:
     """Many honest trials in one vectorized pass; row-identical to serial runs."""
     core = TrialCore(config, trial_seeds=trial_seeds)
     _execute_honest(core)
-    return core.verdicts
+    return core.compute_verdicts()

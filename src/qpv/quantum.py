@@ -240,39 +240,13 @@ def apply_pauli(state: StateVector, qubit: "int | QubitHandle", frame: PauliFram
 
 
 def pauli_frame_from(shared: BellLabel, outcome: BsmOutcome) -> PauliFrame:
-    """Correction exponents left on the receiver half, by shared-label case.
+    """Correction exponents left on the receiver half: (k, k') = shared xor outcome.
 
-    shared |00>: k = b,       k' = b'
-    shared |01>: k = b,       k' = 1 xor b'
-    shared |10>: k = 1 xor b, k' = b'
-    shared |11>: k = 1 xor b, k' = 1 xor b'
-
-    where (b, b') is the BSM outcome.
+    Componentwise XOR of the shared label (a, b) with the BSM outcome
+    (first, second); exact because every state involved is a stabilizer
+    state, so the teleported correction is a Pauli product.
     """
-    cached = _FRAME_CACHE.get((shared.a, shared.b, outcome.first, outcome.second))
-    if cached is not None:
-        return cached
-    b, b_prime = outcome.first, outcome.second
-    if (shared.a, shared.b) == (0, 0):
-        return PauliFrame(b, b_prime)
-    if (shared.a, shared.b) == (0, 1):
-        return PauliFrame(b, 1 ^ b_prime)
-    if (shared.a, shared.b) == (1, 0):
-        return PauliFrame(1 ^ b, b_prime)
-    return PauliFrame(1 ^ b, 1 ^ b_prime)
-
-
-_FRAME_CACHE: dict[tuple[int, int, int, int], PauliFrame] = {}
-
-
-def _fill_frame_cache() -> None:
-    for shared in _BELL_LABELS:
-        for outcome in _BSM_OUTCOMES:
-            frame = pauli_frame_from(shared, outcome)
-            _FRAME_CACHE[(shared.a, shared.b, outcome.first, outcome.second)] = frame
-
-
-_fill_frame_cache()
+    return PauliFrame(shared.a ^ outcome.first, shared.b ^ outcome.second)
 
 
 def swap_label(shared1: BellLabel, shared2: BellLabel, outcome: BsmOutcome) -> BellLabel:

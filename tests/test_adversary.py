@@ -1,5 +1,6 @@
 """Tests for the colluding-prover strategies and their timing/soundness split."""
 
+import dataclasses
 import itertools
 import math
 
@@ -17,7 +18,10 @@ from qpv.protocol import (
     ProtocolConfig,
     REASON_TIMING,
     VARIANT_SINGLE_BIT,
+    VARIANTS,
     deadline,
+    run_honest,
+    run_honest_batch,
     verify_v1,
     verify_v2,
 )
@@ -53,6 +57,27 @@ class TestAttackConfig:
     def test_rounds_lower_bound(self):
         with pytest.raises(ValueError, match="rounds"):
             attack_config(strategy="bounded_rounds", rounds=0).validate()
+
+    @pytest.mark.parametrize("strategy", ["swap_and_forward", "bounded_rounds"])
+    @pytest.mark.parametrize("x,delta", [(1e6 + 0.3, 1e-12), (1e9 + 0.7, 1e-7), (1.0, 0.625 * math.ulp(2.0))])
+    def test_delta_below_timeline_resolution(self, strategy, x, delta):
+        # unchecked, these runs crash or accept a swap completing at exactly 2x
+        with pytest.raises(ValueError, match="delta"):
+            attack_config(strategy, x=x, delta=delta).validate()
+
+
+class TestTimingAtResolution:
+    @pytest.mark.parametrize("ulps", [1, 2, 8])
+    @pytest.mark.parametrize("x", [1.0, 1e6 + 0.3, 1e9 + 0.7])
+    def test_smallest_resolvable_delta(self, x, ulps):
+        delta = ulps * math.ulp(2 * x)
+        for seed in range(3):
+            for strategy in ("swap_and_forward", "bounded_rounds"):
+                outcome = run_attack(attack_config(strategy, n=2, x=x, delta=delta), seed=seed)
+                assert outcome.verdict.reason == REASON_TIMING
+                assert outcome.earliest_complete_response_time > 2 * x
+            guess = run_attack(attack_config("guess", n=2, x=x, delta=delta), seed=seed)
+            assert guess.verdict.reason != REASON_TIMING
 
 
 class TestGuess:
@@ -248,3 +273,30 @@ class TestSoundnessTimingDichotomy:
             assert timed.earliest_complete_response_time > deadline(config.protocol)
             assert not timed.verdict.accepted and timed.verdict.reason == REASON_TIMING
             assert content.verdict.accepted
+
+
+class TestOneVerdictPath:
+    @pytest.mark.parametrize("strategy", SHIPPED_STRATEGIES)
+    def test_diagnostic_is_infinite_slack(self, strategy):
+        config = attack_config(strategy, n=4, delta=0.2)
+        unbounded = dataclasses.replace(config, protocol=dataclasses.replace(config.protocol, deadline_slack=math.inf))
+        for seed in range(5):
+            assert run_attack(config, seed=seed, diagnostic=True).verdict == run_attack(unbounded, seed=seed).verdict
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("scenario,diagnostic", [
+        ("honest", False),
+        *[(strategy, diagnostic) for strategy in SHIPPED_STRATEGIES for diagnostic in (False, True)],
+    ])
+    def test_batch_verdicts_match_serial(self, scenario, diagnostic, variant):
+        protocol = ProtocolConfig(n=3, variant=variant)
+        seeds = [trial_seed(12, scenario, 3, i) for i in range(20)]
+        if scenario == "honest":
+            serial = [run_honest(protocol, seed, collect_transcripts=False)[0] for seed in seeds]
+            batch = run_honest_batch(protocol, seeds)
+        else:
+            config = AttackConfig(strategy=scenario, delta=0.1, protocol=protocol)
+            serial = [run_attack(config, seed, collect_transcripts=False, diagnostic=diagnostic).verdict
+                      for seed in seeds]
+            batch = run_attack_batch(config, seeds, diagnostic=diagnostic)
+        assert batch == serial

@@ -92,6 +92,8 @@ class TestRunExperiment:
             run_experiment(ExperimentSpec(scenario="nope"))
         with pytest.raises(ValueError, match="trials"):
             run_experiment(ExperimentSpec(trials=0))
+        with pytest.raises(ValueError, match="n must be"):
+            run_experiment(ExperimentSpec(n_values=(2, 0)), workers=2)
 
 
 class TestReports:

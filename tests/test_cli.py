@@ -64,6 +64,10 @@ class TestAttack:
         err = capsys.readouterr().err
         assert code == 2
         assert "delta" in err
+        code = main(["attack", "--strategy", "swap-and-forward", "--x", "1000000.3", "--delta", "1e-12"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "delta" in err
 
     def test_unknown_strategy_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -120,6 +124,12 @@ class TestMonteCarlo:
         capsys.readouterr()
         assert code == 0
         assert json.loads(out_path.read_text())["trials"] == 60
+
+    def test_invalid_n_rejected(self, tmp_path, capsys):
+        code = main(["montecarlo", "--n", "1,0", "--trials", "10", "--workers", "2",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "n must be" in capsys.readouterr().err
 
 
 class TestSelftest:

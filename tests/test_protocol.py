@@ -1,5 +1,6 @@
 """Tests for the honest protocol, verifier checks, and verdict pooling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -60,6 +61,30 @@ class TestDeadline:
     )
     def test_values(self, x, slack, expected):
         assert deadline(ProtocolConfig(x=x, deadline_slack=slack)) == expected
+
+    def test_arrival_one_rounding_step_late_is_rejected(self):
+        verdict, transcripts, _ = run_honest(ProtocolConfig(n=1, x=1.0, prover_delay=1e-13), seed=0)
+        assert transcripts[0].timestamps["report_v1_arrived"] > 2.0
+        assert not verdict.accepted and verdict.reason == REASON_TIMING
+
+    def test_arrival_exactly_at_deadline_is_accepted(self):
+        config = ProtocolConfig(n=1, x=1.0, deadline_slack=0.1, prover_delay=0.1)
+        verdict, transcripts, _ = run_honest(config, seed=0)
+        assert transcripts[0].timestamps["report_v1_arrived"] == deadline(config)
+        assert verdict.accepted
+
+    def test_no_tolerance_for_rounding(self):
+        # 0.3 + 0.7 + 0.3 rounds above 2 * 0.3 + 0.7: the slack must carry any margin
+        config = ProtocolConfig(n=1, x=0.3, deadline_slack=0.7, prover_delay=0.7)
+        verdict, transcripts, _ = run_honest(config, seed=0)
+        assert transcripts[0].timestamps["report_v1_arrived"] > deadline(config)
+        assert verdict.reason == REASON_TIMING
+
+    @pytest.mark.parametrize("x", [1e6 + 0.3, 1e9 + 0.7, 1e15])
+    def test_honest_accepted_at_large_x(self, x):
+        verdict, transcripts, _ = run_honest(ProtocolConfig(n=4, x=x), seed=0)
+        assert verdict.accepted
+        assert all(t.timestamps["report_v1_arrived"] == 2.0 * x for t in transcripts)
 
 
 class TestVerifyV1:
@@ -201,13 +226,13 @@ class TestRunHonest:
 
 
 class _JudgeFixture:
-    """Synthetic honest-looking materials for direct judge() tests."""
+    """Synthetic honest-looking materials for direct judge() tests (one trial)."""
 
     def __init__(self, n=1, variant=VARIANT_TWO_BIT, strict=False):
         self.config = ProtocolConfig(n=n, x=1.0, variant=variant, strict_duplicates=strict)
         self.challenges = np.zeros(n, dtype=np.int64)
-        self.labels = [BellLabel(0, 0)] * n
-        self.w = [BsmOutcome(0, 0)] * n
+        self.labels = np.zeros(n, dtype=np.int64)
+        self.w = np.zeros(n, dtype=np.int64)
         self.v2_measured = np.zeros(n, dtype=np.int64)
         self.v1 = MaterialStore(n)
         self.v2 = MaterialStore(n)
@@ -217,9 +242,10 @@ class _JudgeFixture:
         self.v1.ingest_announcement(zeros, 2.0)
         self.v2.ingest_announcement(zeros, 2.0)
 
-    def verdict(self, enforce_deadline=True):
-        return judge(self.config, self.challenges, self.labels, self.labels, self.w,
-                     self.v2_measured, self.v1, self.v2, enforce_deadline=enforce_deadline)
+    def verdict(self, **config_changes):
+        (verdict,) = judge(dataclasses.replace(self.config, **config_changes), self.challenges, self.labels,
+                           self.labels, self.w, self.v2_measured, self.v1, self.v2)
+        return verdict
 
 
 class TestJudge:
@@ -243,7 +269,7 @@ class TestJudge:
         fx.v1.report_time = 2.5
         verdict = fx.verdict()
         assert not verdict.accepted and verdict.reason == REASON_TIMING
-        assert fx.verdict(enforce_deadline=False).accepted
+        assert fx.verdict(deadline_slack=math.inf).accepted
 
     def test_missing_duplicate_lenient_vs_strict(self):
         lenient = _JudgeFixture(strict=False)
