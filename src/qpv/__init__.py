@@ -62,6 +62,7 @@ from .analysis import (
     expected_acceptance,
     parse_report,
     run_experiment,
+    trial_keys,
     trial_seed,
     write_report,
 )

@@ -317,7 +317,8 @@ def run_attack(
     ``diagnostic`` judges with infinite deadline slack (content checks only),
     for demonstrating that correlations alone do not defeat an attack.
     A strategy that tries to use classical values outside its light cone
-    aborts the run with CausalityViolationError.
+    aborts the run with CausalityViolationError. ``seed`` is the trial's
+    Philox key, as for ``run_honest``.
     """
     config.validate()
     core = TrialCore(config.protocol, seed)
@@ -335,7 +336,7 @@ def run_attack(
 
 
 def run_attack_batch(config: AttackConfig, trial_seeds, diagnostic: bool = False) -> list[Verdict]:
-    """Many attack trials in one vectorized pass; row-identical to serial runs."""
+    """Many attack trials in one vectorized pass: ``[t]`` equals ``run_attack(config, trial_seeds[t])``."""
     config.validate()
     core = TrialCore(config.protocol, trial_seeds=trial_seeds)
     _execute_attack(config, core)

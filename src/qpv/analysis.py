@@ -1,9 +1,13 @@
 """Monte Carlo harness: acceptance/detection estimates against the 1 - 2^-n bound.
 
-Trial seeds are derived from the master seed by a documented splitting
-function (SHA-256 over "master|scenario|n|trial index"), so no two trials
-share generator state and results are identical regardless of scheduling or
-worker count. Aggregation is count-based and therefore order-independent.
+Each trial's seed is its 64-bit Philox key (see ``protocol.TrialCore``),
+derived from the master seed by a documented splitting function: one SHA-256
+of "master|scenario|n" gives the row key, and trial i's key is the first two
+words of ``philox4x32((i & 0xffffffff, i >> 32, 0, 0), row key)``, computed
+for all trials of a row in one vectorized pass. Every draw of a trial is a
+pure function of its key, so results are identical regardless of
+scheduling, worker count or batch size. Aggregation is count-based and
+therefore order-independent.
 
 The statistical pass rule: a scenario row passes when the measured acceptance
 rate lies within 3 binomial standard deviations of the modelled acceptance
@@ -22,7 +26,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .adversary import AttackConfig, run_attack, run_attack_batch
+from .philox import check_seed, key_words, philox4x32
 from .protocol import ProtocolConfig, run_honest, run_honest_batch
 
 SCENARIOS = ("honest", "guess", "swap_and_forward", "bounded_rounds")
@@ -50,6 +57,7 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not self.n_values:
             raise ValueError("n_values must be non-empty")
+        check_seed(self.master_seed)
         for n in self.n_values:
             _trial_config(self.scenario, n, x=self.x, delta=self.delta, rounds=self.rounds,
                           variant=self.variant).validate()
@@ -95,10 +103,25 @@ def expected_acceptance(scenario: str, n: int) -> float:
     return 0.0  # swap_and_forward / bounded_rounds: always timing-rejected
 
 
+def trial_keys(master_seed: int, scenario: str, n: int, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Philox keys (uint64) of the trials ``indices`` of one (master, scenario, n) row.
+
+    The row key is the first 8 bytes (big-endian) of SHA-256 of
+    'master|scenario|n'; trial i's key is words 0 (low) and 1 (high) of
+    ``philox4x32((i & 0xffffffff, i >> 32, 0, 0), row key)``.
+    """
+    digest = hashlib.sha256(f"{master_seed}|{scenario}|{n}".encode()).digest()
+    row_key = key_words(np.uint64(int.from_bytes(digest[:8], "big")))[:, None]
+    index = np.asarray(indices, dtype=np.uint64)
+    counter = np.zeros((4, index.size), dtype=np.uint64)
+    counter[:2] = key_words(index)
+    low, high, _, _ = philox4x32(counter, row_key)
+    return low | (high << np.uint64(32))
+
+
 def trial_seed(master_seed: int, scenario: str, n: int, index: int) -> int:
-    """Documented splitting function: SHA-256 of 'master|scenario|n|index'."""
-    digest = hashlib.sha256(f"{master_seed}|{scenario}|{n}|{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    """The key of one trial: ``trial_keys(master_seed, scenario, n, [index])[0]``."""
+    return int(trial_keys(master_seed, scenario, n, [index])[0])
 
 
 def _trial_config(scenario: str, n: int, *, x: float, delta: float, rounds: int,
@@ -125,7 +148,7 @@ _BATCH_SLOTS = 4096
 
 def run_trial_batch(scenario: str, n: int, seeds: Sequence[int], *, x: float = 1.0, delta: float = 0.1,
                     rounds: int = 1, variant: str = "two_bit") -> int:
-    """Accepted-trial count over ``seeds``, chunked through the batched core."""
+    """Accepted-trial count over ``seeds`` (trial keys), chunked through the batched core."""
     config = _trial_config(scenario, n, x=x, delta=delta, rounds=rounds, variant=variant)
     run_batch = run_honest_batch if scenario == "honest" else run_attack_batch
     chunk = max(1, _BATCH_SLOTS // n)
@@ -160,26 +183,31 @@ def _make_row(spec: ExperimentSpec, n: int, accepted: int) -> ResultRow:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run the full grid; deterministic given the spec and master seed.
 
-    ``workers`` > 1 fans trials out to a process pool; identical results
-    either way because every trial owns a derived seed and only counts are
+    ``workers`` > 1 fans the whole grid out to one process pool, each n's
+    trials split into one strided shard per worker; identical results either
+    way because every trial owns a derived key and only counts are
     aggregated.
     """
     spec.validate()
-    result = ExperimentResult(spec=spec)
-    for n in spec.n_values:
-        seeds = [trial_seed(spec.master_seed, spec.scenario, n, i) for i in range(spec.trials)]
-        if workers and workers > 1:
-            import multiprocessing
+    shards = workers if workers and workers > 1 else 1
+    indices = np.arange(spec.trials)
+    tasks = []  # (row, _batch_worker arguments)
+    for row, n in enumerate(spec.n_values):
+        keys = trial_keys(spec.master_seed, spec.scenario, n, indices)
+        tasks += [(row, (spec.scenario, n, keys[i::shards], spec.x, spec.delta, spec.rounds, spec.variant))
+                  for i in range(min(shards, spec.trials))]
+    if shards > 1:
+        import multiprocessing
 
-            shards = [seeds[i::workers] for i in range(workers)]
-            args = [(spec.scenario, n, shard, spec.x, spec.delta, spec.rounds, spec.variant)
-                    for shard in shards if shard]
-            with multiprocessing.Pool(processes=workers) as pool:
-                accepted = sum(pool.starmap(_batch_worker, args))
-        else:
-            accepted = run_trial_batch(spec.scenario, n, seeds, x=spec.x, delta=spec.delta,
-                                       rounds=spec.rounds, variant=spec.variant)
-        result.rows.append(_make_row(spec, n, int(accepted)))
+        with multiprocessing.Pool(processes=shards) as pool:
+            counts = pool.starmap(_batch_worker, [args for _, args in tasks])
+    else:
+        counts = [_batch_worker(*args) for _, args in tasks]
+    accepted = [0] * len(spec.n_values)
+    for (row, _), count in zip(tasks, counts):
+        accepted[row] += count
+    result = ExperimentResult(spec=spec)
+    result.rows = [_make_row(spec, n, int(total)) for n, total in zip(spec.n_values, accepted)]
     return result
 
 

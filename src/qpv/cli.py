@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--variant", choices=["two-bit", "single-bit", "two_bit", "single_bit"],
                        help="announcement variant (default two-bit)")
     run_p.add_argument("--deadline-slack", dest="deadline_slack", type=float, help="extra allowance on the deadline")
-    run_p.add_argument("--seed", type=int, help="trial seed (default 0)")
+    run_p.add_argument("--seed", type=int, help="trial seed, an int in [0, 2**64) (default 0)")
     run_p.add_argument("--transcript-json", help="also write the per-pair transcript to this file")
     run_p.set_defaults(func=cmd_run)
 
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap on pre-shared Bell pairs (default unlimited)")
     atk_p.add_argument("--variant", choices=["two-bit", "single-bit", "two_bit", "single_bit"])
     atk_p.add_argument("--deadline-slack", dest="deadline_slack", type=float)
-    atk_p.add_argument("--seed", type=int)
+    atk_p.add_argument("--seed", type=int, help="trial seed, an int in [0, 2**64) (default 0)")
     atk_p.add_argument("--diagnostic", action="store_true",
                        help="judge with infinite deadline slack (content checks only)")
     atk_p.set_defaults(func=cmd_attack)
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "swap_and_forward", "bounded_rounds"])
     mc_p.add_argument("--n", help="comma-separated pair counts, e.g. 1,2,4,8")
     mc_p.add_argument("--trials", type=int, help="trials per point (default 10000)")
-    mc_p.add_argument("--seed", type=int, help="master seed (default 0)")
+    mc_p.add_argument("--seed", type=int, help="master seed, an int in [0, 2**64) (default 0)")
     mc_p.add_argument("--x", type=float)
     mc_p.add_argument("--delta", type=float)
     mc_p.add_argument("--rounds", type=int)

@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import json
 import math
+import secrets
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .philox import key_words, philox4x32, seed_keys
 from .quantum import BatchRegister, BellLabel, BsmOutcome
 from .spacetime import Actor, CausalityViolationError, Event, Timeline, verify_causality
 
@@ -52,6 +54,10 @@ REASON_V1 = "v1_inconsistent"
 REASON_V2 = "v2_inconsistent"
 
 _MISSING = -1
+
+# Draw indices per Philox evaluation; every shipped scenario makes at most 6
+# draws, so a run costs one evaluation. A multiple of 4 (words per counter).
+_DRAW_BLOCK = 8
 
 
 @dataclass
@@ -255,16 +261,21 @@ class TrialCore:
     """Verifier-side machinery shared by honest runs and adversary runs.
 
     Owns the timeline, the two channel registers, the verifiers' secret
-    choices and received materials, and judges the finished run. Each trial's
-    generator is consumed in event order: challenge sampling first, then each
-    quantum measurement as its event executes.
+    choices and received materials, and judges the finished run.
 
     With ``trial_seeds`` the core simulates many independent trials of the
     same configuration in one pass: the registers gain a trial dimension
     (``slots = trials * n`` rows) while the choreography, messages, and
     ledger run once, since message timing never depends on sampled values.
-    Each trial keeps its own generator, so row outcomes are bit-identical to
-    running the trials one at a time.
+
+    Randomness is counter-based. A trial's seed is its 64-bit Philox key,
+    and draws are made in event order (challenge sampling first, then each
+    quantum measurement as its event executes). The d-th draw gives slot
+    (trial t, pair i) the word ``d % 4`` of
+    ``philox4x32((i, d // 4, 0, 0), key_t)``: a uniform is that word times
+    2**-32, a bit is its top bit. A draw depends on nothing but (key, pair,
+    draw index), so a batch row is bit-identical to running that trial
+    alone with its key.
     """
 
     ACTOR_V1 = 0
@@ -280,13 +291,13 @@ class TrialCore:
         self.config = config
         self.n = config.n
         self.x = config.x
-        if trial_seeds is not None:
-            self.trials = len(trial_seeds)
-            self.rngs = [np.random.default_rng(s) for s in trial_seeds]
-        else:
-            self.trials = 1
-            self.rngs = [np.random.default_rng(seed)]
+        if trial_seeds is None:
+            trial_seeds = [secrets.randbits(64) if seed is None else seed]
+        self.keys = seed_keys(trial_seeds)
+        self.trials = len(self.keys)
         self.slots = self.n * self.trials
+        self._draws = 0
+        self._block: tuple[np.ndarray, ...] = ()
         self.v1 = Actor(self.ACTOR_V1, "V1", "verifier", 0.0)
         self.v2 = Actor(self.ACTOR_V2, "V2", "verifier", 2.0 * config.x)
         self.pool = Actor(self.ACTOR_POOL, "pool", "virtual", config.x)
@@ -315,16 +326,25 @@ class TrialCore:
 
     # -- per-trial randomness ---------------------------------------------------
 
+    def _next_words(self) -> np.ndarray:
+        """The next draw's 32-bit word for every slot, from one Philox evaluation per block."""
+        draw = self._draws
+        self._draws += 1
+        if draw % _DRAW_BLOCK == 0:
+            counter = np.zeros((4, _DRAW_BLOCK // 4, self.slots), dtype=np.uint64)
+            counter[0] = np.arange(self.slots) % self.n
+            counter[1] = (draw // 4 + np.arange(_DRAW_BLOCK // 4))[:, None]
+            key = key_words(np.repeat(self.keys, self.n))[:, None, :]
+            self._block = philox4x32(counter, key)
+        return self._block[draw % 4][draw % _DRAW_BLOCK // 4]
+
     def sample_uniforms(self) -> np.ndarray:
-        """One uniform per register row, drawn from each trial's own generator."""
-        if self.trials == 1:
-            return self.rngs[0].random(self.n)
-        return np.concatenate([rng.random(self.n) for rng in self.rngs])
+        """One uniform in [0, 1) per register row: the next draw's word times 2**-32."""
+        return self._next_words() * 2.0 ** -32
 
     def sample_bits(self) -> np.ndarray:
-        if self.trials == 1:
-            return self.rngs[0].integers(0, 2, size=self.n)
-        return np.concatenate([rng.integers(0, 2, size=self.n) for rng in self.rngs])
+        """One bit per register row: the top bit of the next draw's word."""
+        return (self._next_words() >> np.uint64(31)).astype(np.int64)
 
     def slot_labels(self, labels: Sequence[BellLabel] | None) -> np.ndarray:
         """Bell label index of every register row; |00> when unset."""
@@ -485,7 +505,11 @@ def run_honest(
     seed: int | None = None,
     collect_transcripts: bool = True,
 ) -> tuple[Verdict, list[PairTranscript], list[Event]]:
-    """Execute one honest protocol instance; returns (verdict, transcripts, event log)."""
+    """Execute one honest protocol instance; returns (verdict, transcripts, event log).
+
+    ``seed`` is the trial's Philox key, an int in [0, 2**64) (ValueError
+    otherwise); None draws a fresh key from the operating system.
+    """
     core = TrialCore(config, seed)
     events = _execute_honest(core)
     transcripts = core.build_transcripts() if collect_transcripts else []
@@ -493,7 +517,7 @@ def run_honest(
 
 
 def run_honest_batch(config: ProtocolConfig, trial_seeds: Sequence[int]) -> list[Verdict]:
-    """Many honest trials in one vectorized pass; row-identical to serial runs."""
+    """Many honest trials in one vectorized pass: ``[t]`` equals ``run_honest(config, trial_seeds[t])``."""
     core = TrialCore(config, trial_seeds=trial_seeds)
     _execute_honest(core)
     return core.compute_verdicts()

@@ -23,6 +23,7 @@ import numpy as np
 ATOL = 1e-9
 DEFAULT_MAX_QUBITS = 24
 SQRT_HALF = 2.0 ** -0.5
+_MAX_UNIFORM = 1.0 - 2.0 ** -32  # the largest uniform a 32-bit draw gives
 
 
 class InvalidTargetError(ValueError):
@@ -497,6 +498,25 @@ class Register:
         return fidelity(self.state, handle, target)
 
 
+def _pick_rows(probs: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row outcome by inverse CDF, and the renormalized probabilities.
+
+    Like ``_pick_outcome``: probabilities <= ``ATOL`` (rounding residue of
+    impossible outcomes) are zeroed first, and a row picks the first outcome
+    whose cumulative probability exceeds its uniform, which therefore has
+    nonzero probability for every uniform in [0, 1]. Raises
+    InvalidTargetError if all of a row's probabilities vanish.
+    """
+    probs = np.where(probs > ATOL, probs, 0.0)
+    cum = np.cumsum(probs, axis=1)
+    total = cum[:, -1:]
+    if not total.all():
+        raise InvalidTargetError("all projection norms vanished")
+    # Below 1 by more than rounding, so the last cumulative value always exceeds the target.
+    target = np.minimum(np.asarray(uniforms), _MAX_UNIFORM)[:, None] * total
+    return np.argmax(cum > target, axis=1), probs / total
+
+
 class BatchRegister:
     """Vectorized simulation of many independent, identically laid-out registers.
 
@@ -528,7 +548,7 @@ class BatchRegister:
             self.states = np.ascontiguousarray(block, dtype=complex)
         else:
             self.states = np.einsum("bi,bj->bij", self.states, block).reshape(self.batch_size, -1)
-        new = [QubitHandle(index=self.num_qubits + i, owner=owners[i], register=self) for i in range(count)]
+        new = [QubitHandle(index=self.num_qubits + i, owner=owners[i]) for i in range(count)]
         self.handles.extend(new)
         return new
 
@@ -550,50 +570,38 @@ class BatchRegister:
         h1, h2 = self._grow(block, 2, [owner_first, owner_second])
         return h1, h2
 
-    def _two_qubit_matrixed(self, q1: int, q2: int) -> np.ndarray:
+    def _matrixed(self, qubits: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
+        """Rows as (batch, 2**len(qubits), rest) matrices with ``qubits`` leading, and the axis order used."""
         n = self.num_qubits
-        tensor = self.states.reshape([self.batch_size] + [2] * n)
-        tensor = np.moveaxis(tensor, (1 + q1, 1 + q2), (1, 2))
-        return tensor.reshape(self.batch_size, 4, -1)
+        order = [0, *(1 + q for q in qubits), *(1 + q for q in range(n) if q not in qubits)]
+        tensor = self.states.reshape([self.batch_size] + [2] * n).transpose(order)
+        return tensor.reshape(self.batch_size, 2 ** len(qubits), -1), order
 
-    def _restore_two_qubit(self, mats: np.ndarray, q1: int, q2: int) -> None:
-        n = self.num_qubits
-        tensor = mats.reshape([self.batch_size, 2, 2] + [2] * (n - 2))
-        tensor = np.moveaxis(tensor, (1, 2), (1 + q1, 1 + q2))
-        self.states = tensor.reshape(self.batch_size, -1)
+    def _restore(self, mats: np.ndarray, order: list[int]) -> None:
+        """Store matrices laid out by ``_matrixed(...)`` back as the row states."""
+        tensor = mats.reshape([self.batch_size] + [2] * self.num_qubits)
+        self.states = tensor.transpose(np.argsort(order)).reshape(self.batch_size, -1)
 
     def bsm(self, h1: QubitHandle, h2: QubitHandle, uniforms: np.ndarray) -> np.ndarray:
         """Per-row Bell measurement; returns outcome indices (batch,)."""
-        q1, q2 = h1.index, h2.index
-        if q1 == q2:
+        if h1.index == h2.index:
             raise InvalidTargetError("BSM targets must be distinct qubits")
-        mats = self._two_qubit_matrixed(q1, q2)
+        mats, order = self._matrixed((h1.index, h2.index))
         amps = np.matmul(BELL_MATRIX, mats)
-        probs = (amps.real * amps.real + amps.imag * amps.imag).sum(axis=2)
-        probs /= probs.sum(axis=1, keepdims=True)
-        cum = np.cumsum(probs, axis=1)
-        outcomes = np.minimum((np.asarray(uniforms)[:, None] >= cum).sum(axis=1), 3)
+        outcomes, probs = _pick_rows((amps.real * amps.real + amps.imag * amps.imag).sum(axis=2), uniforms)
         rows = self._rows
         chosen = amps[rows, outcomes, :] / np.sqrt(probs[rows, outcomes])[:, None]
-        collapsed = BELL_MATRIX[outcomes][:, :, None] * chosen[:, None, :]
-        self._restore_two_qubit(collapsed, q1, q2)
-        return outcomes.astype(np.int64)
+        self._restore(BELL_MATRIX[outcomes][:, :, None] * chosen[:, None, :], order)
+        return outcomes
 
     def hadamard_measure(self, handle: QubitHandle, uniforms: np.ndarray) -> np.ndarray:
         """Per-row measurement in {|+>, |->}; returns bits (batch,)."""
-        q = handle.index
-        n = self.num_qubits
-        tensor = self.states.reshape([self.batch_size] + [2] * n)
-        mats = np.moveaxis(tensor, 1 + q, 1).reshape(self.batch_size, 2, -1)
+        mats, order = self._matrixed((handle.index,))
         amps = np.matmul(HADAMARD_BASIS, mats)
-        probs = (amps.real * amps.real + amps.imag * amps.imag).sum(axis=2)
-        probs /= probs.sum(axis=1, keepdims=True)
-        bits = (np.asarray(uniforms) >= probs[:, 0]).astype(np.int64)
+        bits, probs = _pick_rows((amps.real * amps.real + amps.imag * amps.imag).sum(axis=2), uniforms)
         rows = self._rows
         chosen = amps[rows, bits, :] / np.sqrt(probs[rows, bits])[:, None]
-        collapsed = HADAMARD_BASIS[bits][:, :, None].astype(complex) * chosen[:, None, :]
-        tensor = collapsed.reshape([self.batch_size, 2] + [2] * (n - 1))
-        self.states = np.moveaxis(tensor, 1, 1 + q).reshape(self.batch_size, -1)
+        self._restore(HADAMARD_BASIS[bits][:, :, None].astype(complex) * chosen[:, None, :], order)
         return bits
 
     def row_state(self, row: int) -> StateVector:

@@ -1,6 +1,7 @@
 """Tests for the colluding-prover strategies and their timing/soundness split."""
 
 import dataclasses
+import gc
 import itertools
 import math
 
@@ -13,10 +14,11 @@ from qpv.adversary import (
     run_attack,
     run_attack_batch,
 )
-from qpv.analysis import trial_seed
+from qpv.analysis import trial_keys, trial_seed
 from qpv.protocol import (
     ProtocolConfig,
     REASON_TIMING,
+    TrialCore,
     VARIANT_SINGLE_BIT,
     VARIANTS,
     deadline,
@@ -25,7 +27,7 @@ from qpv.protocol import (
     verify_v1,
     verify_v2,
 )
-from qpv.quantum import BellLabel, BsmOutcome, pauli_frame_from
+from qpv.quantum import BatchRegister, BellLabel, BsmOutcome, pauli_frame_from
 from qpv.spacetime import CausalityViolationError
 
 ALL_OUTCOMES = [BsmOutcome.from_index(i) for i in range(4)]
@@ -290,7 +292,7 @@ class TestOneVerdictPath:
     ])
     def test_batch_verdicts_match_serial(self, scenario, diagnostic, variant):
         protocol = ProtocolConfig(n=3, variant=variant)
-        seeds = [trial_seed(12, scenario, 3, i) for i in range(20)]
+        seeds = trial_keys(12, scenario, 3, np.arange(20))
         if scenario == "honest":
             serial = [run_honest(protocol, seed, collect_transcripts=False)[0] for seed in seeds]
             batch = run_honest_batch(protocol, seeds)
@@ -300,3 +302,50 @@ class TestOneVerdictPath:
                       for seed in seeds]
             batch = run_attack_batch(config, seeds, diagnostic=diagnostic)
         assert batch == serial
+
+
+class TestExtremeDraws:
+    """Every draw at the smallest or largest 32-bit word, i.e. uniforms 0 and 1 - 2**-32."""
+
+    @pytest.mark.parametrize("word", [0, 2 ** 32 - 1])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("scenario", ["honest", *SHIPPED_STRATEGIES])
+    def test_claims_hold(self, monkeypatch, word, variant, scenario):
+        monkeypatch.setattr(TrialCore, "_next_words", lambda core: np.full(core.slots, word, dtype=np.uint64))
+        protocol = ProtocolConfig(n=4, variant=variant, challenge_states=[0, 1, 0, 1])
+        if scenario == "honest":
+            verdicts = [run_honest(protocol, 1)[0], *run_honest_batch(protocol, [1, 2])]
+            assert all(verdict.accepted for verdict in verdicts)
+            return
+        config = AttackConfig(strategy=scenario, delta=0.1, protocol=protocol)
+        for diagnostic in (False, True):
+            verdicts = [run_attack(config, 1, diagnostic=diagnostic).verdict,
+                        *run_attack_batch(config, [1, 2], diagnostic=diagnostic)]
+            if scenario == "guess":
+                assert all(verdict.reason != REASON_TIMING for verdict in verdicts)
+            elif diagnostic:
+                assert all(verdict.accepted for verdict in verdicts)
+            else:
+                assert all(verdict.reason == REASON_TIMING for verdict in verdicts)
+
+
+class TestRunsFreeState:
+    def test_no_register_left_in_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            protocol = ProtocolConfig(n=3)
+            run_honest_batch(protocol, [1, 2])
+            run_honest(protocol, 3)
+            for strategy in SHIPPED_STRATEGIES:
+                config = AttackConfig(strategy=strategy, delta=0.1, protocol=protocol)
+                run_attack_batch(config, [1, 2])
+                run_attack(config, 3)
+            gc.collect()
+            leaked = sum(isinstance(obj, BatchRegister) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == 0

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qpv import analysis
 from qpv.analysis import (
     ExperimentResult,
     ExperimentSpec,
@@ -82,6 +83,15 @@ class TestRunExperiment:
             slack = 3 * (lo.sigma + hi.sigma)
             assert hi.detection_rate >= lo.detection_rate - slack
 
+    def test_counts_independent_of_workers_and_batch_size(self, monkeypatch):
+        spec = ExperimentSpec(scenario="guess", n_values=(1, 3), trials=41, master_seed=13)
+        counts = set()
+        for slots in (1, 5, 4096):
+            monkeypatch.setattr(analysis, "_BATCH_SLOTS", slots)
+            for workers in (1, 2, 3):
+                counts.add(tuple(row.accept_count for row in run_experiment(spec, workers=workers).rows))
+        assert len(counts) == 1
+
     def test_batch_equals_serial_trials(self):
         seeds = [trial_seed(4, "guess", 2, i) for i in range(60)]
         serial = sum(run_trial("guess", 2, s) for s in seeds)
@@ -94,6 +104,9 @@ class TestRunExperiment:
             run_experiment(ExperimentSpec(trials=0))
         with pytest.raises(ValueError, match="n must be"):
             run_experiment(ExperimentSpec(n_values=(2, 0)), workers=2)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match=f"seed must be .* got {seed}"):
+                run_experiment(ExperimentSpec(master_seed=seed), workers=2)
 
 
 class TestReports:

@@ -39,6 +39,13 @@ class TestRun:
         records = json.loads(path.read_text())
         assert len(records) == 2
 
+    def test_seed_out_of_range_rejected(self, capsys):
+        for seed in ("-1", "1" * 30):
+            code = main(["run", "--n", "1", "--seed", seed])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"seed must be an int in [0, 2**64), got {seed}" in err
+
     def test_unknown_flag_is_error(self):
         with pytest.raises(SystemExit) as info:
             main(["run", "--frobnicate"])
@@ -130,6 +137,14 @@ class TestMonteCarlo:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "n must be" in capsys.readouterr().err
+
+    def test_seed_out_of_range_rejected(self, tmp_path, capsys):
+        for seed in ("-1", "1" * 30):
+            code = main(["montecarlo", "--n", "1", "--trials", "10", "--seed", seed, "--workers", "2",
+                         "--out", str(tmp_path / "r.json")])
+            assert code == 2
+            assert f"seed must be an int in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestSelftest:

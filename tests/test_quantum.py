@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpv import oracles, quantum
 from qpv.quantum import (
@@ -9,6 +10,7 @@ from qpv.quantum import (
     BatchRegister,
     BellLabel,
     BsmOutcome,
+    HADAMARD_BASIS,
     InvalidTargetError,
     NotProductError,
     OwnershipError,
@@ -420,3 +422,48 @@ class TestBatchRegister:
         batch.bsm(batch.handles[2], batch.handles[0], np.full(5, 0.4))
         norms = np.einsum("bi,bi->b", batch.states.conj(), batch.states).real
         np.testing.assert_allclose(norms, 1.0, atol=ATOL)
+
+
+def hadamard_probability(amplitudes: np.ndarray, qubit: int, bit: int) -> float:
+    n = amplitudes.size.bit_length() - 1
+    mat = np.moveaxis(amplitudes.reshape([2] * n), qubit, 0).reshape(2, -1)
+    return float(np.linalg.norm(HADAMARD_BASIS[bit] @ mat) ** 2)
+
+
+UNIFORMS = st.sampled_from([0.0, 0.5, 1.0 - 2.0 ** -32, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestBatchSampler:
+    """Impossible outcomes come out with probabilities of about 1e-33, not 0; none may be picked."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), UNIFORMS, UNIFORMS),
+                         min_size=1, max_size=5),
+           order=st.permutations(range(5)))
+    def test_sampled_outcome_is_possible(self, rows, order):
+        labels_a, labels_b, eigenbits, u_bsm, u_had = (np.array(column) for column in zip(*rows))
+        batch = BatchRegister(len(rows))
+        batch.append_bell(labels_a.astype(np.intp))
+        batch.append_bell(labels_b.astype(np.intp))
+        batch.append_hadamard_eigenstates(eigenbits)
+        q1, q2, q3 = order[:3]
+        before = batch.states.copy()
+        outcomes = batch.bsm(batch.handles[q1], batch.handles[q2], u_bsm)
+        middle = batch.states.copy()
+        bits = batch.hadamard_measure(batch.handles[q3], u_had)
+        for row in range(len(rows)):
+            state = StateVector(before[row])
+            assert bsm_probabilities(state, q1, q2)[outcomes[row]] > ATOL
+            _, post = project_bell(state, q1, q2, BsmOutcome.from_index(int(outcomes[row])))
+            np.testing.assert_allclose(post.amplitudes, middle[row], atol=ATOL)
+            assert hadamard_probability(middle[row], q3, int(bits[row])) > ATOL
+            np.testing.assert_allclose(np.linalg.norm(batch.states[row]), 1.0, atol=ATOL)
+
+    def test_vanished_row_rejected(self):
+        batch = BatchRegister(2)
+        first, second = batch.append_bell(np.zeros(2, dtype=np.intp))
+        batch.states[1] = 0.0
+        with pytest.raises(InvalidTargetError, match="vanished"):
+            batch.bsm(first, second, np.zeros(2))
+        with pytest.raises(InvalidTargetError, match="vanished"):
+            batch.hadamard_measure(first, np.zeros(2))
