@@ -18,17 +18,8 @@ from .quantum import (
     OwnershipError,
     PauliFrame,
     QubitHandle,
-    Register,
-    StateVector,
-    apply_pauli,
-    bsm,
-    entanglement_swap,
-    fidelity,
-    hadamard_measure,
-    make_bell,
     pauli_frame_from,
     swap_label,
-    teleport,
 )
 from .spacetime import (
     Actor,

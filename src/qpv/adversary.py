@@ -125,7 +125,7 @@ class _GuessStrategy(_ColluderPair):
             tl.schedule(core.x, self.p1, "measure", p1_measure, "measure intercepted half in Hadamard basis")
 
         def p1_measure() -> None:
-            bits = core.reg_v1side.hadamard_measure(core.q_p1, core.sample_uniforms())
+            bits = core.reg_v1side.hadamard_measure(core.q_p1, core.sample_uniforms(), by=self.p1.id)
             tl.collapse_notice(self.p1, [core.q_p1], "intercepted halves measured")
             self.report_value = tl.new_value(self.p1, "state_report", bits)
 
@@ -133,7 +133,7 @@ class _GuessStrategy(_ColluderPair):
             guesses = core.sample_bits()
             guess_value = tl.new_value(self.p2, "state_report", guesses)
             fresh = core.reg_v2side.append_hadamard_eigenstates(guesses, self.p2.id)
-            pp2 = core.reg_v2side.bsm(fresh, core.q_p2, core.sample_uniforms())
+            pp2 = core.reg_v2side.bsm(fresh, core.q_p2, core.sample_uniforms(), by=self.p2.id)
             tl.collapse_notice(self.p2, [core.q_v2], "guessed eigenstates teleported to V2")
             ann_value = tl.new_value(self.p2, "announcement", self.announced(pp2))
             tl.send(self.p2, core.v2, "prover_response", values=[guess_value, ann_value], handler=core.v2_receive)
@@ -185,7 +185,7 @@ class _SwapForwardStrategy(_ColluderPair):
             tl.ledger.record(self.p2.id, label_value, 0.0)
 
         def on_p1_half(message) -> None:
-            swap = core.reg_v1side.bsm(core.q_p1, self.q_pre1, core.sample_uniforms())
+            swap = core.reg_v1side.bsm(core.q_p1, self.q_pre1, core.sample_uniforms(), by=self.p1.id)
             tl.collapse_notice(self.p1, [core.q_v1, self.q_pre2], "channel swapped onto far colluder")
             self.swap_value = tl.new_value(self.p1, "swap_outcome", swap)
             tl.send(self.p1, self.p2, "collusion", values=[self.swap_value], handler=on_swap_outcome)
@@ -201,10 +201,10 @@ class _SwapForwardStrategy(_ColluderPair):
                     tl.schedule(core.x, self.p2, "local_round", None, f"free instantaneous round {k + 1}")
 
         def p2_extract() -> None:
-            measured = core.reg_v1side.hadamard_measure(self.q_pre2, core.sample_uniforms())
+            measured = core.reg_v1side.hadamard_measure(self.q_pre2, core.sample_uniforms(), by=self.p2.id)
             tl.collapse_notice(self.p2, [self.q_pre2], "landed challenge measured")
             fresh = core.reg_v2side.append_hadamard_eigenstates(measured, self.p2.id)
-            onward = core.reg_v2side.bsm(fresh, core.q_p2, core.sample_uniforms())
+            onward = core.reg_v2side.bsm(fresh, core.q_p2, core.sample_uniforms(), by=self.p2.id)
             tl.collapse_notice(self.p2, [core.q_v2], "measured eigenstates teleported to V2")
             self.local_value = tl.new_value(self.p2, "colluder_local", (measured, onward))
 

@@ -283,8 +283,11 @@ def _rows_from_counts(spec: ExperimentSpec, counts: Sequence[tuple[int, int]]) -
 def parse_report(text: str, fmt: str = "json") -> ExperimentResult:
     """Rebuild an ExperimentResult from report text.
 
-    Derived float columns are recomputed from the integer counts, so
-    ``parse_report(render(result)) == result`` holds exactly.
+    Derived float columns are recomputed from the integer counts. A JSON
+    report round-trips exactly: ``parse_report(render_json(result)) == result``.
+    A CSV report keeps only the rows, so its spec gets scenario, n values and
+    trials back, and the default ``master_seed``, ``x``, ``delta``, ``rounds``
+    and ``variant``.
     """
     if fmt == "json":
         payload = json.loads(text)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import quantum
 from .quantum import BellLabel, BsmOutcome, SQRT_HALF
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def bell_state(a: int, b: int) -> np.ndarray:
@@ -20,6 +22,16 @@ def bell_state(a: int, b: int) -> np.ndarray:
     vec[0 * 2 + b] = SQRT_HALF
     vec[1 * 2 + (1 - b)] = ((-1.0) ** a) * SQRT_HALF
     return vec
+
+
+def hadamard_state(bit: int) -> np.ndarray:
+    """|+> for bit 0, |-> for bit 1."""
+    return np.array([SQRT_HALF, -SQRT_HALF if bit else SQRT_HALF], dtype=complex)
+
+
+def pauli_matrix(k: int, k_prime: int) -> np.ndarray:
+    """sigma_z^k sigma_x^k' as an explicit product: the bit flip acts first."""
+    return np.linalg.matrix_power(PAULI_Z, k) @ np.linalg.matrix_power(PAULI_X, k_prime)
 
 
 def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
@@ -72,14 +84,7 @@ def teleport_receiver_oracle(payload: np.ndarray, shared: BellLabel, outcome: Bs
 
 def expected_receiver_state(payload: np.ndarray, k: int, k_prime: int) -> np.ndarray:
     """sigma_z^k sigma_x^k' |payload>, computed with explicit matrices."""
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    mat = np.eye(2, dtype=complex)
-    if k_prime:
-        mat = x @ mat
-    if k:
-        mat = z @ mat
-    return mat @ np.asarray(payload, dtype=complex)
+    return pauli_matrix(k, k_prime) @ np.asarray(payload, dtype=complex)
 
 
 def swap_outer_label_oracle(shared1: BellLabel, shared2: BellLabel, outcome: BsmOutcome) -> BellLabel:
@@ -117,6 +122,50 @@ def frame_oracle(shared: BellLabel, outcome: BsmOutcome) -> tuple[int, int]:
     return FRAME_TABLE[(shared.a, shared.b)](outcome.first, outcome.second)
 
 
+def random_qubit_state(rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random single-qubit pure state (normalized Gaussian pair)."""
+    vec = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return vec / np.linalg.norm(vec)
+
+
 def random_payloads(count: int, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
-    return [quantum.random_qubit_state(rng) for _ in range(count)]
+    return [random_qubit_state(rng) for _ in range(count)]
+
+
+# Dense reference for whole registers: every operator is a full 2**n x 2**n
+# matrix, a Kronecker product of single-qubit factors with identities on the
+# untouched qubits, so no axis is ever moved.
+
+def dense_operator(factors: dict[int, np.ndarray], num_qubits: int) -> np.ndarray:
+    """Kronecker product over qubits 0..num_qubits-1 of ``factors[q]`` (identity where absent)."""
+    out = np.ones((1, 1), dtype=complex)
+    for q in range(num_qubits):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def dense_projector(target: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """|target><target| on ``qubits`` (big-endian within ``target``), identity elsewhere."""
+    width = len(qubits)
+    proj = np.zeros((2 ** num_qubits, 2 ** num_qubits), dtype=complex)
+    for i in np.flatnonzero(target):
+        for j in np.flatnonzero(target):
+            units = {}
+            for pos, q in enumerate(qubits):
+                unit = np.zeros((2, 2))
+                unit[(i >> (width - 1 - pos)) & 1, (j >> (width - 1 - pos)) & 1] = 1.0
+                units[q] = unit
+            proj += target[i] * np.conj(target[j]) * dense_operator(units, num_qubits)
+    return proj
+
+
+def dense_project(state: np.ndarray, target: np.ndarray, qubits: tuple[int, ...]) -> tuple[float, np.ndarray]:
+    """(probability, normalized post state) of projecting ``qubits`` of ``state`` onto ``target``.
+
+    The post state is returned unnormalized when the probability is 0.
+    """
+    num_qubits = state.size.bit_length() - 1
+    post = dense_projector(np.asarray(target, dtype=complex), qubits, num_qubits) @ state
+    prob = float(np.vdot(post, post).real)
+    return prob, (post / np.sqrt(prob) if prob > 0 else post)

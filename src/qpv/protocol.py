@@ -380,15 +380,15 @@ class TrialCore:
         """t = x: V1 teleports the challenge eigenstates, keeping w' secret."""
         tl = self.timeline
 
-        def teleport() -> None:
+        def teleport_challenges() -> None:
             payload = self.reg_v1side.append_hadamard_eigenstates(self.challenges, self.v1.id)
-            outcomes = self.reg_v1side.bsm(payload, self.q_v1, self.sample_uniforms())
+            outcomes = self.reg_v1side.bsm(payload, self.q_v1, self.sample_uniforms(), by=self.v1.id)
             self.w_prime = outcomes
             self.w_prime_value = tl.new_value(self.v1, "w_prime", outcomes)
             tl.collapse_notice(self.v1, [self.q_p1], "challenge teleported onto far halves")
             self.timestamps["challenge_teleported"] = tl.now
 
-        tl.schedule(self.x, self.v1, "teleport", teleport, "teleport challenges over channel 1")
+        tl.schedule(self.x, self.v1, "teleport", teleport_challenges, "teleport challenges over channel 1")
 
     # -- verifier-side reception ----------------------------------------------
 
@@ -405,7 +405,7 @@ class TrialCore:
     def v2_receive(self, message) -> None:
         self._ingest(self.materials_v2, message)
         if self.v2_measured is None and self.materials_v2.has_report():
-            bits = self.reg_v2side.hadamard_measure(self.q_v2, self.sample_uniforms())
+            bits = self.reg_v2side.hadamard_measure(self.q_v2, self.sample_uniforms(), by=self.v2.id)
             self.v2_measured = bits
             self.v2_measured_at = self.timeline.now
             self.timeline.new_value(self.v2, "v2_outcomes", bits)
@@ -473,10 +473,10 @@ class _HonestProver:
 
     def respond(self) -> None:
         core, tl = self.core, self.core.timeline
-        reports = core.reg_v1side.hadamard_measure(core.q_p1, core.sample_uniforms())
+        reports = core.reg_v1side.hadamard_measure(core.q_p1, core.sample_uniforms(), by=self.actor.id)
         tl.collapse_notice(self.actor, [core.q_p1], "corrected halves measured in Hadamard basis")
         fresh = core.reg_v2side.append_hadamard_eigenstates(reports, self.actor.id)
-        pp = core.reg_v2side.bsm(fresh, core.q_p2, core.sample_uniforms())
+        pp = core.reg_v2side.bsm(fresh, core.q_p2, core.sample_uniforms(), by=self.actor.id)
         tl.collapse_notice(self.actor, [core.q_v2], "re-prepared eigenstates teleported to V2")
         core.timestamps["prover_measured"] = tl.now
 

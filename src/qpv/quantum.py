@@ -1,5 +1,9 @@
 """Exact statevector simulation of the quantum primitives used by the protocol.
 
+One engine, :class:`BatchRegister`, holds many independent registers as rows
+(a single register is the one-row case); the Bell/Pauli bookkeeping the
+verifiers need is XOR on 2-bit labels (``pauli_frame_from``, ``swap_label``).
+
 Conventions, fixed once and used everywhere:
 
 * Basis index = big-endian bit string of qubit indices: qubit 0 is the most
@@ -8,7 +12,6 @@ Conventions, fixed once and used everywhere:
   BSM outcomes use the same (a, b) labelling.
 * Pauli corrections ``sigma_z^k sigma_x^k'`` are read right to left: the bit
   flip acts first, the phase flip second.
-* State equality and Bell-label identification are defined up to global phase.
 * All floating comparisons use absolute tolerance ``ATOL`` (1e-9); exact
   algebra on multiples of 1/sqrt(2) leaves only rounding error.
 """
@@ -110,7 +113,6 @@ class QubitHandle:
     index: int
     owner: object = None
     in_transit: bool = False
-    register: object = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QubitHandle(index={self.index}, owner={self.owner!r}, in_transit={self.in_transit})"
@@ -120,124 +122,24 @@ _BELL_LABELS = tuple(BellLabel((i >> 1) & 1, i & 1) for i in range(4))
 _BSM_OUTCOMES = tuple(BsmOutcome((i >> 1) & 1, i & 1) for i in range(4))
 
 
-def _bell_array(a: int, b: int) -> np.ndarray:
-    vec = np.zeros(4, dtype=complex)
-    vec[b] = SQRT_HALF
-    vec[2 | (1 ^ b)] = ((-1.0) ** a) * SQRT_HALF
-    return vec
-
-
-# Row o = Bell state with label index o; rows are real and orthonormal, so the
-# same matrix serves as the change-of-basis for both kets and bras.
-BELL_MATRIX = np.stack([_bell_array(o >> 1, o & 1) for o in range(4)]).real
+# Row o = 2a + b is bell(a, b); rows are real and orthonormal, so the same
+# matrix serves as the change-of-basis for both kets and bras.
+BELL_MATRIX = SQRT_HALF * np.array([
+    [1.0, 0.0, 0.0, 1.0],
+    [0.0, 1.0, 1.0, 0.0],
+    [1.0, 0.0, 0.0, -1.0],
+    [0.0, 1.0, -1.0, 0.0],
+])
 
 HADAMARD_BASIS = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-PLUS = np.array([SQRT_HALF, SQRT_HALF], dtype=complex)
-MINUS = np.array([SQRT_HALF, -SQRT_HALF], dtype=complex)
-
-
-def hadamard_eigenstate(bit: int) -> np.ndarray:
-    """|+> for bit 0, |-> for bit 1."""
-    _check_bit(bit, "bit")
-    return MINUS.copy() if bit else PLUS.copy()
-
-
-def frame_matrix(frame: PauliFrame) -> np.ndarray:
-    """Single-qubit matrix sigma_z^k sigma_x^k' (bit flip first)."""
-    mat = np.eye(2, dtype=complex)
-    if frame.k_prime:
-        mat = PAULI_X @ mat
-    if frame.k:
-        mat = PAULI_Z @ mat
-    return mat
-
-
-class StateVector:
-    """Pure state of a small qubit register.
-
-    The squared norm is validated to within ``ATOL`` on every construction,
-    i.e. after every operation, and the register size is capped (default 24
-    qubits) to keep runs desk-scale.
-    """
-
-    __slots__ = ("num_qubits", "amplitudes")
-
-    def __init__(self, amplitudes: Sequence[complex] | np.ndarray, *, check: bool = True):
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
-            raise ValueError("amplitude vector length must be a power of two")
-        n = int(amps.size.bit_length() - 1)
-        if n > DEFAULT_MAX_QUBITS:
-            raise ValueError(f"register of {n} qubits exceeds the configured maximum {DEFAULT_MAX_QUBITS}")
-        if check:
-            norm_sq = float(np.vdot(amps, amps).real)
-            if abs(norm_sq - 1.0) > ATOL:
-                raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
-        object.__setattr__(self, "num_qubits", n)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("StateVector is immutable")
-
-    def tensor(self, other: "StateVector") -> "StateVector":
-        """Append ``other``'s qubits after this register's (higher indices)."""
-        return StateVector(np.kron(self.amplitudes, other.amplitudes), check=False)
-
-    def probability_of(self, basis_index: int) -> float:
-        return float(abs(self.amplitudes[basis_index]) ** 2)
-
-
-def _index_of(qubit: "int | QubitHandle") -> int:
-    return qubit.index if isinstance(qubit, QubitHandle) else int(qubit)
-
-
-def _two_qubit_matrixed(state: StateVector, q1: int, q2: int) -> np.ndarray:
-    """View of the amplitudes as a (4, rest) matrix with (q1, q2) leading."""
-    n = state.num_qubits
-    tensor = state.amplitudes.reshape([2] * n)
-    tensor = np.moveaxis(tensor, (q1, q2), (0, 1))
-    return tensor.reshape(4, -1)
-
-
-def _restore_two_qubit(mat: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
-    tensor = mat.reshape([2, 2] + [2] * (n - 2))
-    tensor = np.moveaxis(tensor, (0, 1), (q1, q2))
-    return np.ascontiguousarray(tensor).reshape(-1)
-
-
-def _one_qubit_matrixed(state: StateVector, q: int) -> np.ndarray:
-    n = state.num_qubits
-    tensor = state.amplitudes.reshape([2] * n)
-    return np.moveaxis(tensor, q, 0).reshape(2, -1)
-
-
-def _restore_one_qubit(mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    tensor = mat.reshape([2] + [2] * (n - 1))
-    tensor = np.moveaxis(tensor, 0, q)
-    return np.ascontiguousarray(tensor).reshape(-1)
-
-
-def make_bell(label: BellLabel) -> StateVector:
-    """Two-qubit Bell state (|0>|b> + (-1)^a |1>|1 xor b>)/sqrt(2)."""
-    return StateVector(_bell_array(label.a, label.b), check=False)
-
-
-def apply_single(state: StateVector, qubit: "int | QubitHandle", matrix: np.ndarray) -> StateVector:
-    q = _index_of(qubit)
-    n = state.num_qubits
-    if not 0 <= q < n:
-        raise InvalidTargetError(f"qubit {q} not in register of {n}")
-    mat = _one_qubit_matrixed(state, q)
-    return StateVector(_restore_one_qubit(np.asarray(matrix, dtype=complex) @ mat, q, n), check=False)
-
-
-def apply_pauli(state: StateVector, qubit: "int | QubitHandle", frame: PauliFrame) -> StateVector:
-    """Apply sigma_z^k sigma_x^k' to one qubit (bit flip first, then phase flip)."""
-    return apply_single(state, qubit, frame_matrix(frame))
+# Row 2k + k' = sigma_z^k sigma_x^k' (bit flip first, then phase flip).
+FRAME_MATRICES = np.array([
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+    [[0.0, 1.0], [-1.0, 0.0]],
+])
 
 
 def pauli_frame_from(shared: BellLabel, outcome: BsmOutcome) -> PauliFrame:
@@ -259,253 +161,14 @@ def swap_label(shared1: BellLabel, shared2: BellLabel, outcome: BsmOutcome) -> B
     return BellLabel(shared1.a ^ shared2.a ^ outcome.first, shared1.b ^ shared2.b ^ outcome.second)
 
 
-def _pick_outcome(probs: np.ndarray, u: float) -> int:
-    total = probs.sum()
-    if total <= 0.0:
-        raise InvalidTargetError("all projection norms vanished")
-    cum = np.cumsum(probs / total)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    idx = min(idx, len(probs) - 1)
-    while probs[idx] <= 0.0:  # never sample a zero-norm projection
-        idx -= 1
-    return idx
-
-
-def project_bell(state: StateVector, q1, q2, outcome: BsmOutcome) -> tuple[float, StateVector]:
-    """Project (q1, q2) onto one Bell state; returns (probability, post state).
-
-    Raises InvalidTargetError on a zero-probability projection.
-    """
-    i1, i2 = _index_of(q1), _index_of(q2)
-    if i1 == i2:
-        raise InvalidTargetError("Bell projection targets must be distinct qubits")
-    n = state.num_qubits
-    mat = _two_qubit_matrixed(state, i1, i2)
-    amp = BELL_MATRIX[outcome.index] @ mat
-    prob = float(np.vdot(amp, amp).real)
-    if prob <= ATOL:
-        raise InvalidTargetError(f"projection onto Bell outcome {outcome} has zero probability")
-    collapsed = BELL_MATRIX[outcome.index][:, None] * (amp / np.sqrt(prob))[None, :]
-    return prob, StateVector(_restore_two_qubit(collapsed, i1, i2, n), check=False)
-
-
-def bsm_probabilities(state: StateVector, q1, q2) -> np.ndarray:
-    """Born probabilities of the four Bell outcomes on (q1, q2)."""
-    i1, i2 = _index_of(q1), _index_of(q2)
-    if i1 == i2:
-        raise InvalidTargetError("BSM targets must be distinct qubits")
-    mat = _two_qubit_matrixed(state, i1, i2)
-    amps = BELL_MATRIX @ mat
-    return np.einsum("oi,oi->o", amps.conj(), amps).real
-
-
-def bsm(state: StateVector, q1, q2, rng: np.random.Generator) -> tuple[BsmOutcome, StateVector]:
-    """Bell state measurement of (q1, q2).
-
-    The outcome (a, b) is sampled with Born probabilities and labelled with
-    the same convention as ``make_bell``; the post state is renormalized with
-    the measured pair left in the corresponding Bell state.
-    """
-    i1, i2 = _index_of(q1), _index_of(q2)
-    if i1 == i2:
-        raise InvalidTargetError("BSM targets must be distinct qubits")
-    n = state.num_qubits
-    mat = _two_qubit_matrixed(state, i1, i2)
-    amps = BELL_MATRIX @ mat
-    probs = np.einsum("oi,oi->o", amps.conj(), amps).real
-    idx = _pick_outcome(probs, float(rng.random()))
-    collapsed = BELL_MATRIX[idx][:, None] * (amps[idx] / np.sqrt(probs[idx]))[None, :]
-    outcome = BsmOutcome.from_index(idx)
-    return outcome, StateVector(_restore_two_qubit(collapsed, i1, i2, n), check=False)
-
-
-def project_hadamard(state: StateVector, qubit, bit: int) -> tuple[float, StateVector]:
-    """Project one qubit onto |+> (bit 0) or |-> (bit 1)."""
-    _check_bit(bit, "bit")
-    q = _index_of(qubit)
-    n = state.num_qubits
-    mat = _one_qubit_matrixed(state, q)
-    amp = HADAMARD_BASIS[bit] @ mat
-    prob = float(np.vdot(amp, amp).real)
-    if prob <= ATOL:
-        raise InvalidTargetError("projection onto the requested Hadamard eigenstate has zero probability")
-    collapsed = HADAMARD_BASIS[bit][:, None].astype(complex) * (amp / np.sqrt(prob))[None, :]
-    return prob, StateVector(_restore_one_qubit(collapsed, q, n), check=False)
-
-
-def hadamard_measure(state: StateVector, qubit, rng: np.random.Generator) -> tuple[int, StateVector]:
-    """Projective measurement in {|+>, |->}; returns 0 for |+>, 1 for |->."""
-    q = _index_of(qubit)
-    n = state.num_qubits
-    mat = _one_qubit_matrixed(state, q)
-    amps = HADAMARD_BASIS @ mat
-    probs = np.einsum("oi,oi->o", amps.conj(), amps).real
-    bit = _pick_outcome(probs, float(rng.random()))
-    collapsed = HADAMARD_BASIS[bit][:, None].astype(complex) * (amps[bit] / np.sqrt(probs[bit]))[None, :]
-    return bit, StateVector(_restore_one_qubit(collapsed, q, n), check=False)
-
-
-def teleport(
-    state: StateVector,
-    payload,
-    sender_half,
-    shared: BellLabel,
-    rng: np.random.Generator,
-) -> tuple[BsmOutcome, PauliFrame, StateVector]:
-    """Teleport the payload qubit over a Bell channel prepared as ``shared``.
-
-    Performs a BSM on (payload, sender half) and returns the outcome, the
-    correction frame left on the receiver half, and the post-BSM state where
-    the receiver half carries sigma_z^k sigma_x^k' |payload> up to global phase.
-    """
-    outcome, post = bsm(state, payload, sender_half, rng)
-    return outcome, pauli_frame_from(shared, outcome), post
-
-
-def entanglement_swap(
-    state: StateVector,
-    mid1,
-    mid2,
-    shared1: BellLabel,
-    shared2: BellLabel,
-    rng: np.random.Generator,
-) -> tuple[BsmOutcome, BellLabel, StateVector]:
-    """BSM on the inner halves of two Bell pairs, entangling the outer qubits.
-
-    Returns the measurement outcome, the Bell label of the resulting outer
-    pair (valid up to global phase), and the collapsed state.
-    """
-    outcome, post = bsm(state, mid1, mid2, rng)
-    return outcome, swap_label(shared1, shared2, outcome), post
-
-
-def reduced_qubit_state(state: StateVector, qubit) -> np.ndarray:
-    """Pure state of one qubit, if it is unentangled with the rest.
-
-    Raises NotProductError when the Schmidt rank across the cut exceeds one
-    beyond tolerance 1e-9.
-    """
-    q = _index_of(qubit)
-    mat = _one_qubit_matrixed(state, q)
-    if mat.shape[1] == 1:
-        return mat[:, 0].copy()
-    left, singulars, _ = np.linalg.svd(mat, full_matrices=False)
-    if singulars.size > 1 and singulars[1] > ATOL:
-        raise NotProductError(f"qubit {q} is entangled with the remainder (second Schmidt value {singulars[1]:.3e})")
-    return left[:, 0] * singulars[0]
-
-
-def fidelity(state: StateVector, qubit, target: np.ndarray) -> float:
-    """|<target | reduced state of qubit>|^2 for a product-state qubit."""
-    target = np.asarray(target, dtype=complex)
-    norm = float(np.vdot(target, target).real)
-    if abs(norm - 1.0) > ATOL:
-        raise ValueError("target state must be normalized")
-    reduced = reduced_qubit_state(state, qubit)
-    return float(abs(np.vdot(target, reduced)) ** 2)
-
-
-def states_equal(a: np.ndarray, b: np.ndarray, tol: float = ATOL) -> bool:
-    """Equality of two pure states up to global phase."""
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    if a.shape != b.shape:
-        return False
-    return bool(abs(abs(np.vdot(a, b)) - 1.0) <= tol)
-
-
-def bell_label_of(amplitudes: np.ndarray, tol: float = ATOL) -> BellLabel:
-    """Identify a 2-qubit state with one of the four Bell labels, up to phase."""
-    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if vec.size != 4:
-        raise ValueError("expected a 2-qubit state")
-    overlaps = np.abs(BELL_MATRIX @ vec)
-    idx = int(np.argmax(overlaps))
-    if abs(overlaps[idx] - 1.0) > tol:
-        raise ValueError(f"state is not a Bell state (best overlap {overlaps[idx]:.6f})")
-    return BellLabel.from_index(idx)
-
-
-def random_qubit_state(rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random single-qubit pure state (normalized Gaussian pair)."""
-    vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return vec / np.linalg.norm(vec)
-
-
-class Register:
-    """Mutable qubit register handing out QubitHandles, one logical thread per trial.
-
-    A thin stateful wrapper over the functional operations above; quantum
-    sampling consumes the trial generator in the order the operations run.
-    """
-
-    def __init__(self, rng: np.random.Generator | None = None, max_qubits: int = DEFAULT_MAX_QUBITS):
-        self.rng = rng
-        self.max_qubits = max_qubits
-        self.state: StateVector | None = None
-        self.handles: list[QubitHandle] = []
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.handles)
-
-    def _grow(self, amplitudes: np.ndarray, count: int, owners: Sequence[object]) -> list[QubitHandle]:
-        if self.num_qubits + count > self.max_qubits:
-            raise ValueError(f"register would exceed the configured maximum of {self.max_qubits} qubits")
-        block = StateVector(amplitudes)
-        self.state = block if self.state is None else self.state.tensor(block)
-        new = [QubitHandle(index=self.num_qubits + i, owner=owners[i], register=self) for i in range(count)]
-        self.handles.extend(new)
-        return new
-
-    def add_qubit(self, amplitudes: np.ndarray, owner: object = None) -> QubitHandle:
-        return self._grow(np.asarray(amplitudes, dtype=complex), 1, [owner])[0]
-
-    def add_bell(self, label: BellLabel, owner_first: object = None, owner_second: object = None):
-        h1, h2 = self._grow(_bell_array(label.a, label.b), 2, [owner_first, owner_second])
-        return h1, h2
-
-    def _check_ownership(self, handle: QubitHandle, by: object) -> None:
-        if handle.register is not self:
-            raise OwnershipError("handle belongs to a different register")
-        if handle.in_transit:
-            raise OwnershipError(f"qubit {handle.index} is in transit and cannot be operated on")
-        if by is not None and handle.owner != by:
-            raise OwnershipError(f"qubit {handle.index} is owned by {handle.owner!r}, not {by!r}")
-
-    def bsm(self, h1: QubitHandle, h2: QubitHandle, by: object = None) -> BsmOutcome:
-        self._check_ownership(h1, by)
-        self._check_ownership(h2, by)
-        outcome, self.state = bsm(self.state, h1, h2, self.rng)
-        return outcome
-
-    def project_bell(self, h1: QubitHandle, h2: QubitHandle, outcome: BsmOutcome, by: object = None) -> float:
-        self._check_ownership(h1, by)
-        self._check_ownership(h2, by)
-        prob, self.state = project_bell(self.state, h1, h2, outcome)
-        return prob
-
-    def hadamard_measure(self, handle: QubitHandle, by: object = None) -> int:
-        self._check_ownership(handle, by)
-        bit, self.state = hadamard_measure(self.state, handle, self.rng)
-        return bit
-
-    def apply_frame(self, handle: QubitHandle, frame: PauliFrame, by: object = None) -> None:
-        self._check_ownership(handle, by)
-        self.state = apply_pauli(self.state, handle, frame)
-
-    def fidelity(self, handle: QubitHandle, target: np.ndarray) -> float:
-        return fidelity(self.state, handle, target)
-
-
 def _pick_rows(probs: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row outcome by inverse CDF, and the renormalized probabilities.
 
-    Like ``_pick_outcome``: probabilities <= ``ATOL`` (rounding residue of
-    impossible outcomes) are zeroed first, and a row picks the first outcome
-    whose cumulative probability exceeds its uniform, which therefore has
-    nonzero probability for every uniform in [0, 1]. Raises
-    InvalidTargetError if all of a row's probabilities vanish.
+    Probabilities <= ``ATOL`` (rounding residue of impossible outcomes) are
+    zeroed first, and a row picks the first outcome whose cumulative
+    probability exceeds its uniform, which therefore has nonzero probability
+    for every uniform in [0, 1]. Raises InvalidTargetError if all of a row's
+    probabilities vanish.
     """
     probs = np.where(probs > ATOL, probs, 0.0)
     cum = np.cumsum(probs, axis=1)
@@ -518,13 +181,14 @@ def _pick_rows(probs: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.
 
 
 class BatchRegister:
-    """Vectorized simulation of many independent, identically laid-out registers.
+    """Statevector simulation of many independent, identically laid-out registers.
 
     One row per register; every operation acts on all rows at once with
-    per-row parameters and per-row uniform draws supplied by the caller.
-    Semantically equivalent to running ``Register`` row by row (covered by an
-    equivalence test); used by the protocol engine so a Monte Carlo trial
-    costs a fixed number of array operations regardless of the pair count.
+    per-row parameters and per-row uniform draws supplied by the caller, so a
+    Monte Carlo trial costs a fixed number of array operations regardless of
+    the pair count. A single register is the one-row case. Measurements check
+    quantum locality: a qubit in transit cannot be touched, and when ``by`` is
+    given, only its owner may measure it.
     """
 
     def __init__(self, batch_size: int, max_qubits: int = DEFAULT_MAX_QUBITS):
@@ -541,6 +205,9 @@ class BatchRegister:
     def _grow(self, block: np.ndarray, count: int, owners: Sequence[object]) -> list[QubitHandle]:
         if self.num_qubits + count > self.max_qubits:
             raise ValueError(f"register would exceed the configured maximum of {self.max_qubits} qubits")
+        expected = (self.batch_size, 2 ** count)
+        if block.shape != expected:
+            raise ValueError(f"appended block has shape {block.shape}, expected {expected}")
         norms = np.einsum("bi,bi->b", block.conj(), block).real
         if np.abs(norms - 1.0).max() > ATOL:
             raise ValueError("appended block is not normalized")
@@ -556,7 +223,7 @@ class BatchRegister:
         """Append one fresh qubit per row; amplitudes shaped (batch, 2) or (2,)."""
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.ndim == 1:
-            amps = np.broadcast_to(amps, (self.batch_size, 2))
+            amps = np.broadcast_to(amps, (self.batch_size, amps.size))
         return self._grow(amps, 1, [owner])[0]
 
     def append_hadamard_eigenstates(self, bits: np.ndarray, owner: object = None) -> QubitHandle:
@@ -570,6 +237,14 @@ class BatchRegister:
         h1, h2 = self._grow(block, 2, [owner_first, owner_second])
         return h1, h2
 
+    def _check_access(self, handle: QubitHandle, by: object) -> None:
+        if not (handle.index < len(self.handles) and self.handles[handle.index] is handle):
+            raise OwnershipError("handle belongs to a different register")
+        if handle.in_transit:
+            raise OwnershipError(f"qubit {handle.index} is in transit and cannot be operated on")
+        if by is not None and handle.owner != by:
+            raise OwnershipError(f"qubit {handle.index} is owned by {handle.owner!r}, not {by!r}")
+
     def _matrixed(self, qubits: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
         """Rows as (batch, 2**len(qubits), rest) matrices with ``qubits`` leading, and the axis order used."""
         n = self.num_qubits
@@ -582,27 +257,72 @@ class BatchRegister:
         tensor = mats.reshape([self.batch_size] + [2] * self.num_qubits)
         self.states = tensor.transpose(np.argsort(order)).reshape(self.batch_size, -1)
 
-    def bsm(self, h1: QubitHandle, h2: QubitHandle, uniforms: np.ndarray) -> np.ndarray:
-        """Per-row Bell measurement; returns outcome indices (batch,)."""
-        if h1.index == h2.index:
-            raise InvalidTargetError("BSM targets must be distinct qubits")
-        mats, order = self._matrixed((h1.index, h2.index))
-        amps = np.matmul(BELL_MATRIX, mats)
-        outcomes, probs = _pick_rows((amps.real * amps.real + amps.imag * amps.imag).sum(axis=2), uniforms)
-        rows = self._rows
-        chosen = amps[rows, outcomes, :] / np.sqrt(probs[rows, outcomes])[:, None]
-        self._restore(BELL_MATRIX[outcomes][:, :, None] * chosen[:, None, :], order)
-        return outcomes
+    def _measure(self, basis: np.ndarray, handles: tuple[QubitHandle, ...], by: object,
+                 uniforms: np.ndarray | None = None, outcomes: np.ndarray | None = None):
+        """Measure ``handles`` in the orthonormal real ``basis`` (one row per outcome) and collapse.
 
-    def hadamard_measure(self, handle: QubitHandle, uniforms: np.ndarray) -> np.ndarray:
-        """Per-row measurement in {|+>, |->}; returns bits (batch,)."""
+        Samples each row's outcome from ``uniforms``, or forces ``outcomes``
+        (InvalidTargetError when a forced outcome has probability <= ATOL).
+        Returns the outcomes and their probabilities (renormalized when sampled).
+        """
+        for handle in handles:
+            self._check_access(handle, by)
+        if len(handles) == 2 and handles[0].index == handles[1].index:
+            raise InvalidTargetError("measurement targets must be distinct qubits")
+        mats, order = self._matrixed(tuple(h.index for h in handles))
+        amps = np.matmul(basis, mats)
+        probs = (amps.real * amps.real + amps.imag * amps.imag).sum(axis=2)
+        rows = self._rows
+        if outcomes is None:
+            outcomes, probs = _pick_rows(probs, uniforms)
+            picked = probs[rows, outcomes]
+        else:
+            outcomes = np.asarray(outcomes, dtype=np.intp)
+            picked = probs[rows, outcomes]
+            if (picked <= ATOL).any():
+                raise InvalidTargetError("projection onto a forced outcome has zero probability")
+        chosen = amps[rows, outcomes, :] / np.sqrt(picked)[:, None]
+        self._restore(basis[outcomes][:, :, None] * chosen[:, None, :], order)
+        return outcomes, picked
+
+    def bsm(self, h1: QubitHandle, h2: QubitHandle, uniforms: np.ndarray, by: object = None) -> np.ndarray:
+        """Per-row Bell measurement of (h1, h2); returns outcome indices (batch,).
+
+        The outcome (a, b) labels the Bell state the pair is left in, with the
+        same convention as ``append_bell``.
+        """
+        return self._measure(BELL_MATRIX, (h1, h2), by, uniforms=uniforms)[0]
+
+    def project_bell(self, h1: QubitHandle, h2: QubitHandle, outcomes: np.ndarray, by: object = None) -> np.ndarray:
+        """Project each row's (h1, h2) onto the Bell state ``outcomes[row]``; returns the probabilities."""
+        return self._measure(BELL_MATRIX, (h1, h2), by, outcomes=outcomes)[1]
+
+    def hadamard_measure(self, handle: QubitHandle, uniforms: np.ndarray, by: object = None) -> np.ndarray:
+        """Per-row measurement in {|+>, |->}; returns bits (batch,), 0 for |+>."""
+        return self._measure(HADAMARD_BASIS, (handle,), by, uniforms=uniforms)[0]
+
+    def apply_frame(self, handle: QubitHandle, k, k_prime, by: object = None) -> None:
+        """Apply sigma_z^k sigma_x^k' to one qubit per row: the bit flip, then the phase flip.
+
+        ``k`` and ``k_prime`` are bits, one for all rows or one per row.
+        """
+        self._check_access(handle, by)
+        k, k_prime = np.asarray(k, dtype=np.intp), np.asarray(k_prime, dtype=np.intp)
+        if ((k | k_prime) & ~1).any():
+            raise ValueError("frame exponents k and k_prime must be 0 or 1")
+        frames = FRAME_MATRICES[2 * k + k_prime]
         mats, order = self._matrixed((handle.index,))
-        amps = np.matmul(HADAMARD_BASIS, mats)
-        bits, probs = _pick_rows((amps.real * amps.real + amps.imag * amps.imag).sum(axis=2), uniforms)
-        rows = self._rows
-        chosen = amps[rows, bits, :] / np.sqrt(probs[rows, bits])[:, None]
-        self._restore(HADAMARD_BASIS[bits][:, :, None].astype(complex) * chosen[:, None, :], order)
-        return bits
+        self._restore(np.matmul(frames, mats), order)
 
-    def row_state(self, row: int) -> StateVector:
-        return StateVector(self.states[row])
+    def reduced_state(self, handle: QubitHandle) -> np.ndarray:
+        """Each row's pure state of one qubit, (batch, 2), defined up to phase.
+
+        Raises NotProductError when the qubit is entangled with the rest of a
+        row (second Schmidt value above ``ATOL``).
+        """
+        mats, _ = self._matrixed((handle.index,))
+        left, singulars, _ = np.linalg.svd(mats, full_matrices=False)
+        if singulars.shape[1] > 1 and singulars[:, 1].max() > ATOL:
+            raise NotProductError(f"qubit {handle.index} is entangled with the rest of a row "
+                                  f"(second Schmidt value {singulars[:, 1].max():.3e})")
+        return left[:, :, 0] * singulars[:, :1]

@@ -2,15 +2,17 @@
 
 Each suite compares the live implementation (looked up through the module so
 fault injection in tests is visible) against the dense-algebra oracles in
-:mod:`qpv.oracles`:
+:mod:`qpv.oracles`. The register suites run batched: one
+:class:`~qpv.quantum.BatchRegister` row per payload or per channel pair.
 
-* teleport   - all 16 (shared label, BSM outcome) combinations x 100 random
-               payloads: forced-outcome teleport matches the projection oracle
-               and the inverse correction restores the payload with fidelity 1.
+* teleport   - all 16 (shared label, BSM outcome) combinations, each as one
+               batch of 100 random payloads: the forced-outcome projection
+               matches the projection oracle and the frame oracle, and the
+               inverse correction restores every payload with fidelity 1.
 * swap       - all 64 (label, label, outcome) combinations: the implementation's
-               outer-pair label equals the brute-force label.
-* frame      - all 16 correction-table entries match the oracle table and the
-               physically teleported state.
+               outer-pair label equals the brute-force label; for each label
+               pair, one Born-sampled swap leaves the outer pair in that label.
+* frame      - all 16 correction-table entries match the oracle table.
 * reduction  - the one-bit announcement keeps the phase-flip exponent
                reconstructible on all 16 (shared, outcome) pairs, and the
                one-bit check agrees with the two-bit check everywhere.
@@ -23,7 +25,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import oracles, protocol, quantum
-from .quantum import BellLabel, BsmOutcome, Register
+from .quantum import BellLabel, BsmOutcome
 
 TOL = 1e-9
 
@@ -38,30 +40,30 @@ def _all_outcomes() -> list[BsmOutcome]:
 
 def check_teleport(num_payloads: int = 100, seed: int = 2024) -> list[str]:
     failures = []
-    payloads = oracles.random_payloads(num_payloads, seed)
+    payloads = np.array(oracles.random_payloads(num_payloads, seed))
     for shared in _all_labels():
         for outcome in _all_outcomes():
             frame = quantum.pauli_frame_from(shared, outcome)
+            reg = quantum.BatchRegister(num_payloads)
+            q_payload = reg.append_qubit(payloads)
+            q_sender, q_receiver = reg.append_bell(np.full(num_payloads, shared.index))
+            reg.project_bell(q_payload, q_sender, np.full(num_payloads, outcome.index))
+            received = reg.reduced_state(q_receiver)
+            reg.apply_frame(q_receiver, 0, frame.k_prime)
+            reg.apply_frame(q_receiver, frame.k, 0)
+            fidelities = np.abs(np.einsum("pi,pi->p", payloads.conj(), reg.reduced_state(q_receiver))) ** 2
             for idx, payload in enumerate(payloads):
-                reg = Register()
-                q_payload = reg.add_qubit(payload)
-                q_sender, q_receiver = reg.add_bell(shared)
-                reg.project_bell(q_payload, q_sender, outcome)
                 expected = oracles.teleport_receiver_oracle(payload, shared, outcome)
-                received = quantum.reduced_qubit_state(reg.state, q_receiver)
-                if not oracles.equal_up_to_phase(received, expected, TOL):
+                if not oracles.equal_up_to_phase(received[idx], expected, TOL):
                     failures.append(f"teleport mismatch vs oracle: shared={shared} outcome={outcome} payload#{idx}")
                     break
                 via_frame = oracles.expected_receiver_state(payload, frame.k, frame.k_prime)
-                if not oracles.equal_up_to_phase(received, via_frame, TOL):
+                if not oracles.equal_up_to_phase(received[idx], via_frame, TOL):
                     failures.append(f"teleport frame mismatch: shared={shared} outcome={outcome} payload#{idx}")
                     break
-                inverse = quantum.PauliFrame(0, frame.k_prime)
-                undone = quantum.apply_pauli(reg.state, q_receiver, inverse)
-                undone = quantum.apply_pauli(undone, q_receiver, quantum.PauliFrame(frame.k, 0))
-                fid = quantum.fidelity(undone, q_receiver, payload)
-                if abs(fid - 1.0) > TOL:
-                    failures.append(f"round trip fidelity {fid!r}: shared={shared} outcome={outcome} payload#{idx}")
+                if abs(fidelities[idx] - 1.0) > TOL:
+                    failures.append(f"round trip fidelity {float(fidelities[idx])!r}: "
+                                    f"shared={shared} outcome={outcome} payload#{idx}")
                     break
     return failures
 
@@ -78,13 +80,15 @@ def check_swap(seed: int = 7) -> list[str]:
                     failures.append(f"swap label mismatch: {shared1} {shared2} {outcome}: {got} != {expected}")
             # sampled path: outcome drawn by Born rule, label must match the
             # collapsed outer state
-            reg = Register(rng=rng)
-            outer1, mid1 = reg.add_bell(shared1)
-            mid2, outer2 = reg.add_bell(shared2)
-            outcome, label, reg.state = quantum.entanglement_swap(reg.state, mid1, mid2, shared1, shared2, rng)
-            prob, collapsed = quantum.project_bell(reg.state, outer1, outer2, BsmOutcome(label.a, label.b))
+            reg = quantum.BatchRegister(1)
+            outer1, mid1 = reg.append_bell([shared1.index])
+            mid2, outer2 = reg.append_bell([shared2.index])
+            outcome = BsmOutcome.from_index(int(reg.bsm(mid1, mid2, rng.random(1))[0]))
+            label = quantum.swap_label(shared1, shared2, outcome)
+            prob = reg.project_bell(outer1, outer2, [label.index])[0]
             if abs(prob - 1.0) > TOL:
-                failures.append(f"sampled swap label {label} inconsistent with collapsed outer pair ({shared1},{shared2})")
+                failures.append(f"sampled swap label {label} inconsistent with collapsed outer pair "
+                                f"({shared1},{shared2})")
     return failures
 
 

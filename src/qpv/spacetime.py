@@ -9,7 +9,10 @@ first becomes knowable; emitting a payload that depends on a value the sender
 cannot yet know raises :class:`CausalityViolationError` (a hard failure: it
 signals a simulator bug or an illegal adversary strategy).
 
-Event ordering is deterministic: (time, actor id, sequence number).
+Event ordering is deterministic: (time, actor id, sequence number). Every
+time comparison is exact, with no tolerance: an arrival time and a read at
+that arrival are the same float, so nothing is knowable, schedulable or
+emittable even 1e-13 before it may be.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .quantum import QubitHandle
-
-_TIME_EPS = 1e-12
 
 
 class CausalityViolationError(RuntimeError):
@@ -130,7 +131,7 @@ class KnowledgeLedger:
         return self._first_knowable.get((actor_id, value.vid), math.inf)
 
     def knows(self, actor_id: int, value: ClassicalValue, time: float) -> bool:
-        return self.first_knowable(actor_id, value) <= time + _TIME_EPS
+        return self.first_knowable(actor_id, value) <= time
 
 
 class Timeline:
@@ -169,7 +170,7 @@ class Timeline:
 
     def schedule(self, time: float, actor: Actor, kind: str, fn: Callable[[], None] | None = None, detail: str = "") -> None:
         """Queue an event; events run in (time, actor id, sequence) order."""
-        if time < self.now - _TIME_EPS:
+        if time < self.now:
             raise ValueError(f"cannot schedule an event in the past (t={time} < now={self.now})")
         heapq.heappush(self._queue, (time, actor.id, self._seq, fn, kind, detail, actor.name))
         self._seq += 1
@@ -193,7 +194,7 @@ class Timeline:
         emission.
         """
         emit = (self.now if emit_time is None else emit_time) + sender.latency
-        if emit < self.now - _TIME_EPS:
+        if emit < self.now:
             raise ValueError("emit time lies in the past")
         values = tuple(values)
         qubits = tuple(qubits)
@@ -212,21 +213,6 @@ class Timeline:
         self._log(emit, sender.name, "send", kind + " -> " + receiver.name)
         self.schedule(arrival, receiver, "recv", lambda: self._deliver(message, handler), detail=kind + " from " + sender.name)
         return message
-
-    def schedule_message(self, message: Message, handler: Callable[[Message], None] | None = None) -> None:
-        """Queue delivery of a pre-built message, validating its timing invariant."""
-        expected = message.emit_time + light_travel_time(message.sender.position, message.receiver.position)
-        if message.arrival_time != expected:
-            raise ValueError(f"message arrival time {message.arrival_time!r} != emit + distance = {expected!r}")
-        for value in message.values:
-            if not self.ledger.knows(message.sender.id, value, message.emit_time):
-                raise CausalityViolationError(
-                    f"{message.sender.name} cannot know {value.name!r} at emit time t={message.emit_time}"
-                )
-        self.messages.append(message)
-        self._log(message.emit_time, message.sender.name, "send", f"{message.kind} -> {message.receiver.name}")
-        self.schedule(message.arrival_time, message.receiver, "recv", lambda: self._deliver(message, handler),
-                      detail=f"{message.kind} from {message.sender.name}")
 
     def _deliver(self, message: Message, handler: Callable[[Message], None] | None) -> None:
         for value in message.values:
@@ -284,7 +270,7 @@ def verify_causality(timeline: Timeline) -> list[str]:
     for message in timeline.messages:
         for value in message.values:
             first = knowable.get((message.sender.id, value.vid), math.inf)
-            if message.emit_time < first - _TIME_EPS:
+            if message.emit_time < first:
                 violations.append(
                     f"{message.sender.name} emitted {value.name!r} at t={message.emit_time} "
                     f"but could first know it at t={first}"

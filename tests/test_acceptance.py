@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from qpv import quantum, selftest
+from qpv import oracles, selftest
 from qpv.adversary import AttackConfig, run_attack, run_attack_batch
 from qpv.analysis import ExperimentSpec, render_csv, render_json, run_experiment, trial_seed
 from qpv.protocol import (
@@ -130,7 +130,7 @@ def test_criterion_5_quantum_oracles():
     rng = np.random.default_rng(57)
     batch = BatchRegister(samples)
     _, sender = batch.append_bell(np.zeros(samples, dtype=np.intp))
-    payload = batch.append_qubit(quantum.random_qubit_state(rng))
+    payload = batch.append_qubit(oracles.random_qubit_state(rng))
     outcomes = batch.bsm(payload, sender, rng.random(samples))
     counts = np.bincount(outcomes, minlength=4)
     statistic = float(((counts - samples / 4) ** 2 / (samples / 4)).sum())

@@ -122,6 +122,8 @@ class TestReports:
         result = self._result()
         parsed = parse_report(render_csv(result), "csv")
         assert parsed.rows == result.rows
+        # CSV carries no master seed (nor x, delta, rounds, variant): they parse back as defaults
+        assert result.spec.master_seed == 7 and parsed.spec.master_seed == ExperimentSpec().master_seed
 
     def test_floats_use_twelve_significant_digits(self):
         result = self._result()

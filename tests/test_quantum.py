@@ -1,10 +1,14 @@
-"""Unit and property tests for the statevector core."""
+"""Unit and property tests for the statevector core.
+
+The reference for every register operation is the dense algebra in
+:mod:`qpv.oracles`; a single register is a one-row ``BatchRegister``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpv import oracles, quantum
+from qpv import oracles
 from qpv.quantum import (
     ATOL,
     BatchRegister,
@@ -15,40 +19,43 @@ from qpv.quantum import (
     NotProductError,
     OwnershipError,
     PauliFrame,
-    Register,
-    StateVector,
-    MINUS,
-    PLUS,
     SQRT_HALF,
-    apply_pauli,
-    bell_label_of,
-    bsm,
-    bsm_probabilities,
-    entanglement_swap,
-    fidelity,
-    hadamard_eigenstate,
-    hadamard_measure,
-    make_bell,
     pauli_frame_from,
-    project_bell,
     swap_label,
-    teleport,
 )
 
 ALL_LABELS = [BellLabel.from_index(i) for i in range(4)]
 ALL_OUTCOMES = [BsmOutcome.from_index(i) for i in range(4)]
+PLUS = oracles.hadamard_state(0)
+MINUS = oracles.hadamard_state(1)
 
 
-class FixedRng:
-    """Deterministic stand-in feeding preset uniforms to sampling calls."""
+def bell_target(index: int) -> np.ndarray:
+    return oracles.bell_state(index >> 1, index & 1)
 
-    def __init__(self, values):
-        self._values = list(values)
 
-    def random(self, size=None):
-        if size is None:
-            return self._values.pop(0)
-        return np.array([self._values.pop(0) for _ in range(size)])
+def single(amplitudes) -> tuple[BatchRegister, object]:
+    """One-row register holding one qubit."""
+    reg = BatchRegister(1)
+    return reg, reg.append_qubit(amplitudes)
+
+
+def fidelity(reg: BatchRegister, handle, target: np.ndarray) -> np.ndarray:
+    """|<target | qubit>|^2 per row, for a qubit that is a product state in every row."""
+    return np.abs(reg.reduced_state(handle) @ np.asarray(target, dtype=complex).conj()) ** 2
+
+
+def teleport_register(payloads: np.ndarray, labels) -> tuple[BatchRegister, object, object, object]:
+    """Rows of (payload, sender half, receiver half), the layout of a teleport."""
+    reg = BatchRegister(len(payloads))
+    payload = reg.append_qubit(payloads)
+    sender, receiver = reg.append_bell(np.broadcast_to(labels, len(payloads)))
+    return reg, payload, sender, receiver
+
+
+def inverse_cdf(probs: np.ndarray, u: float) -> int:
+    """First outcome whose cumulative probability exceeds ``u`` (the sampler's rule)."""
+    return int(np.argmax(np.cumsum(probs) > u * probs.sum()))
 
 
 class TestMakeBell:
@@ -61,87 +68,105 @@ class TestMakeBell:
         ],
     )
     def test_amplitudes(self, a, b, expected):
-        state = make_bell(BellLabel(a, b))
-        np.testing.assert_allclose(state.amplitudes, np.array(expected, dtype=complex), atol=ATOL)
+        reg = BatchRegister(1)
+        reg.append_bell([BellLabel(a, b).index])
+        np.testing.assert_allclose(reg.states[0], np.array(expected, dtype=complex), atol=ATOL)
 
     def test_all_labels_normalized_and_orthogonal(self):
-        vectors = [make_bell(lab).amplitudes for lab in ALL_LABELS]
-        gram = np.array([[np.vdot(u, v) for v in vectors] for u in vectors])
+        reg = BatchRegister(4)
+        reg.append_bell(np.arange(4))
+        gram = reg.states.conj() @ reg.states.T
         np.testing.assert_allclose(gram, np.eye(4), atol=ATOL)
 
 
 class TestStateVector:
+    """Validation of the row states a register accepts."""
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
-            StateVector([1.0, 1.0])
+            single([1.0, 1.0])
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError, match="power of two"):
-            StateVector([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"shape \(1, 3\), expected \(1, 2\)"):
+            single([1.0, 0.0, 0.0])
 
-    def test_immutable(self):
-        state = make_bell(BellLabel(0, 0))
-        with pytest.raises(AttributeError):
-            state.num_qubits = 5
+    def test_rejects_wide_block(self):
+        # a (batch, 4) block is two qubits' worth of amplitudes, not one qubit
+        with pytest.raises(ValueError, match=r"expected \(2, 2\)"):
+            BatchRegister(2).append_qubit(np.full((2, 4), 0.5))
+
+    def test_rejects_label_count_mismatch(self):
+        reg = BatchRegister(2)
+        with pytest.raises(ValueError, match=r"shape \(3, 4\), expected \(2, 4\)"):
+            reg.append_bell(np.zeros(3, dtype=np.intp))
+        assert reg.states is None and reg.num_qubits == 0
 
     def test_register_cap(self):
-        reg = Register(max_qubits=2)
-        reg.add_bell(BellLabel(0, 0))
+        reg = BatchRegister(1, max_qubits=2)
+        reg.append_bell([0])
         with pytest.raises(ValueError, match="maximum"):
-            reg.add_qubit(PLUS)
-
-    def test_global_cap(self, monkeypatch):
-        monkeypatch.setattr(quantum, "DEFAULT_MAX_QUBITS", 1)
-        with pytest.raises(ValueError, match="exceeds"):
-            StateVector([0.5, 0.5, 0.5, 0.5])
+            reg.append_qubit(PLUS)
 
 
 class TestBsm:
     def test_bell_state_projects_onto_itself(self):
-        for label in ALL_LABELS:
-            state = make_bell(label)
-            outcome, post = bsm(state, 0, 1, np.random.default_rng(0))
-            assert (outcome.first, outcome.second) == (label.a, label.b)
-            np.testing.assert_allclose(bsm_probabilities(state, 0, 1)[label.index], 1.0, atol=ATOL)
-            assert oracles.equal_up_to_phase(post.amplitudes, state.amplitudes)
+        reg = BatchRegister(4)
+        h1, h2 = reg.append_bell(np.arange(4))
+        before = reg.states.copy()
+        np.testing.assert_allclose(reg.project_bell(h1, h2, np.arange(4)), 1.0, atol=ATOL)
+        outcomes = reg.bsm(h1, h2, np.full(4, 0.5))
+        np.testing.assert_array_equal(outcomes, np.arange(4))
+        for row in range(4):
+            assert oracles.equal_up_to_phase(reg.states[row], before[row])
 
     def test_plus_plus_distribution(self):
-        state = StateVector(np.kron(PLUS, PLUS))
-        probs = bsm_probabilities(state, 0, 1)
-        np.testing.assert_allclose(probs, [0.5, 0.5, 0.0, 0.0], atol=ATOL)
-        np.testing.assert_allclose(probs, oracles.bell_projection_norms(np.kron(PLUS, PLUS)), atol=ATOL)
+        state = np.kron(PLUS, PLUS)
+        reg = BatchRegister(2)
+        q1, q2 = reg.append_qubit(PLUS), reg.append_qubit(PLUS)
+        np.testing.assert_allclose(reg.project_bell(q1, q2, [0, 1]), [0.5, 0.5], atol=ATOL)
+        for impossible in (2, 3):
+            reg = BatchRegister(1)
+            q1, q2 = reg.append_qubit(PLUS), reg.append_qubit(PLUS)
+            with pytest.raises(InvalidTargetError, match="zero probability"):
+                reg.project_bell(q1, q2, [impossible])
+        np.testing.assert_allclose(oracles.bell_projection_norms(state), [0.5, 0.5, 0.0, 0.0], atol=ATOL)
 
     def test_payload_with_bell_half_uniform(self):
         # 100 random payloads: implementation probabilities match the
         # brute-force projection norms and all equal 1/4.
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            payload = quantum.random_qubit_state(rng)
-            for label in ALL_LABELS:
-                state = StateVector(payload).tensor(make_bell(label))
-                probs = bsm_probabilities(state, 0, 1)
-                expected = oracles.bsm_norms_payload_with_bell_half(payload, label.a, label.b)
-                np.testing.assert_allclose(probs, expected, atol=ATOL)
+        payloads = np.array([oracles.random_qubit_state(rng) for _ in range(100)])
+        for label in ALL_LABELS:
+            expected = np.array([oracles.bsm_norms_payload_with_bell_half(p, label.a, label.b) for p in payloads])
+            for outcome in range(4):
+                reg, payload, sender, _ = teleport_register(payloads, label.index)
+                probs = reg.project_bell(payload, sender, np.full(100, outcome))
+                np.testing.assert_allclose(probs, expected[:, outcome], atol=ATOL)
                 np.testing.assert_allclose(probs, 0.25, atol=ATOL)
 
     def test_same_qubit_rejected(self):
-        state = make_bell(BellLabel(0, 0))
+        reg = BatchRegister(1)
+        h1, _ = reg.append_bell([0])
         with pytest.raises(InvalidTargetError):
-            bsm(state, 0, 0, np.random.default_rng(0))
+            reg.bsm(h1, h1, [0.5])
+        with pytest.raises(InvalidTargetError):
+            reg.project_bell(h1, h1, [0])
 
     def test_projector_symmetric_in_argument_order(self):
         rng = np.random.default_rng(3)
-        payload = quantum.random_qubit_state(rng)
-        state = StateVector(payload).tensor(make_bell(BellLabel(1, 0)))
+        payloads = np.tile(oracles.random_qubit_state(rng), (4, 1))
+        forward, p0, s0, _ = teleport_register(payloads, BellLabel(1, 0).index)
+        backward, p1, s1, _ = teleport_register(payloads, BellLabel(1, 0).index)
         np.testing.assert_allclose(
-            bsm_probabilities(state, 0, 1), bsm_probabilities(state, 1, 0), atol=ATOL
+            forward.project_bell(p0, s0, np.arange(4)), backward.project_bell(s1, p1, np.arange(4)), atol=ATOL
         )
 
     def test_zero_norm_outcome_never_sampled(self):
-        state = StateVector(np.kron(PLUS, PLUS))
-        for u in np.linspace(0.0, 0.999, 21):
-            outcome, _ = bsm(state, 0, 1, FixedRng([u]))
-            assert outcome.first == 0
+        uniforms = np.linspace(0.0, 0.999, 21)
+        reg = BatchRegister(uniforms.size)
+        q1, q2 = reg.append_qubit(PLUS), reg.append_qubit(PLUS)
+        outcomes = reg.bsm(q1, q2, uniforms)
+        assert not (outcomes >> 1).any()
 
 
 class TestPauliFrame:
@@ -168,92 +193,88 @@ class TestPauliFrame:
             PauliFrame(2, 0)
         with pytest.raises(ValueError):
             BellLabel(0, -1)
+        reg, q = single(PLUS)
+        with pytest.raises(ValueError, match="0 or 1"):
+            reg.apply_frame(q, 2, 0)
 
 
 class TestApplyPauli:
     def test_bit_flip(self):
-        state = StateVector([1.0, 0.0])
-        flipped = apply_pauli(state, 0, PauliFrame(0, 1))
-        np.testing.assert_allclose(flipped.amplitudes, [0.0, 1.0], atol=ATOL)
+        reg, q = single([1.0, 0.0])
+        reg.apply_frame(q, 0, 1)
+        np.testing.assert_allclose(reg.states[0], [0.0, 1.0], atol=ATOL)
 
     def test_phase_flip_on_plus(self):
-        state = StateVector(PLUS)
-        flipped = apply_pauli(state, 0, PauliFrame(1, 0))
-        np.testing.assert_allclose(flipped.amplitudes, MINUS, atol=ATOL)
+        reg, q = single(PLUS)
+        reg.apply_frame(q, 1, 0)
+        np.testing.assert_allclose(reg.states[0], MINUS, atol=ATOL)
 
     def test_plus_invariant_under_bit_flip(self):
-        state = StateVector(PLUS)
-        same = apply_pauli(state, 0, PauliFrame(0, 1))
-        np.testing.assert_allclose(same.amplitudes, state.amplitudes, atol=ATOL)
+        reg, q = single(PLUS)
+        reg.apply_frame(q, 0, 1)
+        np.testing.assert_allclose(reg.states[0], PLUS, atol=ATOL)
 
 
 class TestHadamardMeasure:
     def test_plus_eigenstate_deterministic(self):
-        state = StateVector(PLUS)
-        for u in (0.01, 0.5, 0.99):
-            bit, post = hadamard_measure(state, 0, FixedRng([u]))
-            assert bit == 0
-            np.testing.assert_allclose(post.amplitudes, PLUS, atol=ATOL)
+        reg = BatchRegister(3)
+        q = reg.append_qubit(PLUS)
+        bits = reg.hadamard_measure(q, [0.01, 0.5, 0.99])
+        np.testing.assert_array_equal(bits, 0)
+        np.testing.assert_allclose(reg.states, np.tile(PLUS, (3, 1)), atol=ATOL)
 
     def test_zero_state_even_split(self):
-        state = StateVector([1.0, 0.0])
-        probs = [abs(np.vdot(hadamard_eigenstate(b), state.amplitudes)) ** 2 for b in (0, 1)]
+        zero = np.array([1.0, 0.0], dtype=complex)
+        probs = [abs(np.vdot(HADAMARD_BASIS[b], zero)) ** 2 for b in (0, 1)]
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=ATOL)
         rng = np.random.default_rng(5)
-        counts = sum(hadamard_measure(state, 0, rng)[0] for _ in range(2000))
+        reg = BatchRegister(2000)
+        counts = reg.hadamard_measure(reg.append_qubit(zero), rng.random(2000)).sum()
         assert abs(counts / 2000 - 0.5) < 3 * np.sqrt(0.25 / 2000)
 
     def test_phase_flipped_plus_reads_minus(self):
-        state = apply_pauli(StateVector(PLUS), 0, PauliFrame(1, 0))
-        bit, _ = hadamard_measure(state, 0, FixedRng([0.7]))
-        assert bit == 1
+        reg, q = single(PLUS)
+        reg.apply_frame(q, 1, 0)
+        assert reg.hadamard_measure(q, [0.7])[0] == 1
 
 
 class TestTeleport:
     def test_forced_outcome_gives_minus(self):
-        reg = Register()
-        payload = reg.add_qubit(PLUS)
-        sender, receiver = reg.add_bell(BellLabel(0, 0))
-        reg.project_bell(payload, sender, BsmOutcome(1, 0))
-        assert abs(reg.fidelity(receiver, MINUS) - 1.0) < ATOL
+        reg, payload, sender, receiver = teleport_register(np.array([PLUS]), BellLabel(0, 0).index)
+        reg.project_bell(payload, sender, [BsmOutcome(1, 0).index])
+        assert abs(fidelity(reg, receiver, MINUS)[0] - 1.0) < ATOL
 
     def test_identity_frame_outcome(self):
         rng = np.random.default_rng(21)
-        payload_vec = quantum.random_qubit_state(rng)
-        reg = Register()
-        payload = reg.add_qubit(payload_vec)
-        sender, receiver = reg.add_bell(BellLabel(0, 0))
-        reg.project_bell(payload, sender, BsmOutcome(0, 0))
-        assert abs(reg.fidelity(receiver, payload_vec) - 1.0) < ATOL
+        payload_vec = oracles.random_qubit_state(rng)
+        reg, payload, sender, receiver = teleport_register(np.array([payload_vec]), BellLabel(0, 0).index)
+        reg.project_bell(payload, sender, [BsmOutcome(0, 0).index])
+        assert abs(fidelity(reg, receiver, payload_vec)[0] - 1.0) < ATOL
 
     def test_sampled_teleport_returns_matching_frame(self):
         rng = np.random.default_rng(8)
-        for _ in range(25):
-            payload_vec = quantum.random_qubit_state(rng)
-            shared = ALL_LABELS[rng.integers(0, 4)]
-            reg = Register(rng=rng)
-            payload = reg.add_qubit(payload_vec)
-            sender, receiver = reg.add_bell(shared)
-            outcome, frame, post = teleport(reg.state, payload, sender, shared, rng)
-            assert frame == pauli_frame_from(shared, outcome)
-            expected = oracles.expected_receiver_state(payload_vec, frame.k, frame.k_prime)
-            received = quantum.reduced_qubit_state(post, receiver)
-            assert oracles.equal_up_to_phase(received, expected)
+        payloads = np.array([oracles.random_qubit_state(rng) for _ in range(25)])
+        labels = rng.integers(0, 4, size=25)
+        reg, payload, sender, receiver = teleport_register(payloads, labels)
+        outcomes = reg.bsm(payload, sender, rng.random(25))
+        received = reg.reduced_state(receiver)
+        for row in range(25):
+            frame = pauli_frame_from(ALL_LABELS[labels[row]], ALL_OUTCOMES[outcomes[row]])
+            expected = oracles.expected_receiver_state(payloads[row], frame.k, frame.k_prime)
+            assert oracles.equal_up_to_phase(received[row], expected)
 
     def test_round_trip_all_combinations(self):
         # inverse correction sigma_x^k' sigma_z^k restores the payload exactly
-        payloads = oracles.random_payloads(10, seed=33)
+        payloads = np.array(oracles.random_payloads(10, seed=33))
         for shared in ALL_LABELS:
             for outcome in ALL_OUTCOMES:
                 frame = pauli_frame_from(shared, outcome)
-                for payload_vec in payloads:
-                    reg = Register()
-                    payload = reg.add_qubit(payload_vec)
-                    sender, receiver = reg.add_bell(shared)
-                    reg.project_bell(payload, sender, outcome)
-                    reg.apply_frame(receiver, PauliFrame(0, frame.k_prime))
-                    reg.apply_frame(receiver, PauliFrame(frame.k, 0))
-                    assert abs(reg.fidelity(receiver, payload_vec) - 1.0) < ATOL
+                reg, payload, sender, receiver = teleport_register(payloads, shared.index)
+                reg.project_bell(payload, sender, np.full(10, outcome.index))
+                reg.apply_frame(receiver, 0, frame.k_prime)
+                reg.apply_frame(receiver, frame.k, 0)
+                fidelities = np.abs(np.einsum("pi,pi->p", payloads.conj(), reg.reduced_state(receiver))) ** 2
+                np.testing.assert_allclose(fidelities, 1.0, atol=ATOL)
 
 
 class TestEntanglementSwap:
@@ -271,53 +292,46 @@ class TestEntanglementSwap:
 
     def test_sampled_swap_collapses_outer_pair(self):
         rng = np.random.default_rng(17)
-        for _ in range(25):
-            shared1 = ALL_LABELS[rng.integers(0, 4)]
-            shared2 = ALL_LABELS[rng.integers(0, 4)]
-            reg = Register(rng=rng)
-            outer1, mid1 = reg.add_bell(shared1)
-            mid2, outer2 = reg.add_bell(shared2)
-            outcome, label, post = entanglement_swap(reg.state, mid1, mid2, shared1, shared2, rng)
-            prob, _ = project_bell(post, outer1, outer2, BsmOutcome(label.a, label.b))
-            assert abs(prob - 1.0) < ATOL
-
-    def test_bell_label_of(self):
-        for label in ALL_LABELS:
-            assert bell_label_of(make_bell(label).amplitudes) == label
-        with pytest.raises(ValueError, match="not a Bell state"):
-            bell_label_of(np.array([1.0, 0, 0, 0], dtype=complex))
+        labels1, labels2 = rng.integers(0, 4, size=25), rng.integers(0, 4, size=25)
+        reg = BatchRegister(25)
+        outer1, mid1 = reg.append_bell(labels1)
+        mid2, outer2 = reg.append_bell(labels2)
+        outcomes = reg.bsm(mid1, mid2, rng.random(25))
+        outer = [swap_label(ALL_LABELS[a], ALL_LABELS[b], ALL_OUTCOMES[o]).index
+                 for a, b, o in zip(labels1, labels2, outcomes)]
+        np.testing.assert_allclose(reg.project_bell(outer1, outer2, outer), 1.0, atol=ATOL)
 
 
 class TestFidelity:
     def test_identical(self):
-        assert abs(fidelity(StateVector(PLUS), 0, PLUS) - 1.0) < ATOL
+        reg, q = single(PLUS)
+        assert abs(fidelity(reg, q, PLUS)[0] - 1.0) < ATOL
 
     def test_orthogonal(self):
-        assert fidelity(StateVector(PLUS), 0, MINUS) < ATOL
+        reg, q = single(PLUS)
+        assert fidelity(reg, q, MINUS)[0] < ATOL
 
     def test_half_overlap(self):
-        assert abs(fidelity(StateVector([1.0, 0.0]), 0, PLUS) - 0.5) < ATOL
+        reg, q = single([1.0, 0.0])
+        assert abs(fidelity(reg, q, PLUS)[0] - 0.5) < ATOL
 
     def test_entangled_qubit_rejected(self):
-        state = make_bell(BellLabel(0, 0))
+        reg = BatchRegister(2)
+        first, _ = reg.append_bell([0, 3])
         with pytest.raises(NotProductError):
-            fidelity(state, 0, PLUS)
-
-    def test_unnormalized_target_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
-            fidelity(StateVector(PLUS), 0, np.array([1.0, 1.0]))
+            reg.reduced_state(first)
 
 
 class TestInvariants:
     def test_normalization_preserved_through_random_circuits(self):
         rng = np.random.default_rng(9)
-        reg = Register(rng=rng)
-        reg.add_bell(BellLabel(1, 0))
-        reg.add_bell(BellLabel(0, 1))
-        reg.add_qubit(quantum.random_qubit_state(rng))
-        reg.bsm(reg.handles[1], reg.handles[2])
-        reg.hadamard_measure(reg.handles[4])
-        norm = float(np.vdot(reg.state.amplitudes, reg.state.amplitudes).real)
+        reg = BatchRegister(1)
+        reg.append_bell([BellLabel(1, 0).index])
+        reg.append_bell([BellLabel(0, 1).index])
+        reg.append_qubit(oracles.random_qubit_state(rng))
+        reg.bsm(reg.handles[1], reg.handles[2], rng.random(1))
+        reg.hadamard_measure(reg.handles[4], rng.random(1))
+        norm = float(np.vdot(reg.states[0], reg.states[0]).real)
         assert abs(norm - 1.0) < ATOL
 
     def test_outcome_uniformity_chi_squared(self):
@@ -330,7 +344,7 @@ class TestInvariants:
         batch = BatchRegister(10_000)
         labels = np.zeros(10_000, dtype=np.intp)
         _, sender = batch.append_bell(labels)
-        payload = batch.append_qubit(quantum.random_qubit_state(rng))
+        payload = batch.append_qubit(oracles.random_qubit_state(rng))
         outcomes = batch.bsm(payload, sender, rng.random(10_000))
         counts += np.bincount(outcomes, minlength=4)
         statistic = float(((counts - 2500.0) ** 2 / 2500.0).sum())
@@ -351,22 +365,21 @@ class TestInvariants:
     def test_bit_flip_invariance_on_hadamard_eigenstates(self):
         for psi_bit in (0, 1):
             for k in (0, 1):
-                base = apply_pauli(StateVector(hadamard_eigenstate(psi_bit)), 0, PauliFrame(k, 0))
-                flipped = apply_pauli(StateVector(hadamard_eigenstate(psi_bit)), 0, PauliFrame(k, 1))
-                np.testing.assert_allclose(np.abs(base.amplitudes), np.abs(flipped.amplitudes), atol=ATOL)
-                bit_a, _ = hadamard_measure(base, 0, FixedRng([0.4]))
-                bit_b, _ = hadamard_measure(flipped, 0, FixedRng([0.4]))
-                assert bit_a == bit_b
+                base, q_base = single(HADAMARD_BASIS[psi_bit])
+                base.apply_frame(q_base, k, 0)
+                flipped, q_flipped = single(HADAMARD_BASIS[psi_bit])
+                flipped.apply_frame(q_flipped, k, 1)
+                np.testing.assert_allclose(np.abs(base.states), np.abs(flipped.states), atol=ATOL)
+                assert base.hadamard_measure(q_base, [0.4])[0] == flipped.hadamard_measure(q_flipped, [0.4])[0]
 
     def test_determinism_same_seed(self):
         def run(seed):
             rng = np.random.default_rng(seed)
-            reg = Register(rng=rng)
-            payload = reg.add_qubit(quantum.random_qubit_state(rng))
-            sender, receiver = reg.add_bell(BellLabel(0, 0))
-            outcome = reg.bsm(payload, sender)
-            bit = reg.hadamard_measure(receiver)
-            return outcome, bit, reg.state.amplitudes.copy()
+            reg, payload = single(oracles.random_qubit_state(rng))
+            sender, receiver = reg.append_bell([BellLabel(0, 0).index])
+            outcome = reg.bsm(payload, sender, rng.random(1))
+            bit = reg.hadamard_measure(receiver, rng.random(1))
+            return outcome, bit, reg.states.copy()
 
         outcome_a, bit_a, amps_a = run(99)
         outcome_b, bit_b, amps_b = run(99)
@@ -376,22 +389,44 @@ class TestInvariants:
 
 class TestOwnership:
     def test_foreign_owner_rejected(self):
-        reg = Register(rng=np.random.default_rng(0))
-        h1, h2 = reg.add_bell(BellLabel(0, 0), owner_first="alice", owner_second="bob")
+        reg = BatchRegister(1)
+        h1, h2 = reg.append_bell([0], owner_first="alice", owner_second="bob")
         with pytest.raises(OwnershipError):
-            reg.hadamard_measure(h1, by="bob")
+            reg.hadamard_measure(h1, [0.5], by="bob")
+        with pytest.raises(OwnershipError):
+            reg.apply_frame(h1, 1, 0, by="bob")
+        assert reg.hadamard_measure(h2, [0.5], by="bob").shape == (1,)
 
     def test_in_transit_rejected(self):
-        reg = Register(rng=np.random.default_rng(0))
-        h1, _ = reg.add_bell(BellLabel(0, 0))
+        reg = BatchRegister(1)
+        h1, _ = reg.append_bell([0])
         h1.in_transit = True
         with pytest.raises(OwnershipError, match="transit"):
-            reg.hadamard_measure(h1)
+            reg.hadamard_measure(h1, [0.5])
+
+    def test_batch_measurement_of_in_transit_handle_rejected(self):
+        reg = BatchRegister(3)
+        h1, h2 = reg.append_bell(np.arange(3), owner_first="alice", owner_second="alice")
+        h2.in_transit = True
+        before = reg.states.copy()
+        with pytest.raises(OwnershipError, match="transit"):
+            reg.bsm(h1, h2, np.full(3, 0.5))
+        with pytest.raises(OwnershipError, match="transit"):
+            reg.project_bell(h1, h2, np.arange(3), by="alice")
+        np.testing.assert_array_equal(reg.states, before)
+
+    def test_handle_of_another_register_rejected(self):
+        reg, other = BatchRegister(1), BatchRegister(1)
+        reg.append_bell([0])
+        stranger, _ = other.append_bell([0])
+        with pytest.raises(OwnershipError, match="different register"):
+            reg.hadamard_measure(stranger, [0.5])
 
 
 class TestBatchRegister:
     def test_matches_single_register_rows(self):
-        # identical uniforms row by row must give identical outcomes/states
+        # identical uniforms row by row must give the outcomes and states of
+        # the dense oracle, computed one row at a time
         rng = np.random.default_rng(42)
         size = 6
         labels = rng.integers(0, 4, size=size)
@@ -406,14 +441,14 @@ class TestBatchRegister:
         bits = batch.hadamard_measure(second, u_meas)
 
         for row in range(size):
-            reg = Register()
-            h1, h2 = reg.add_bell(BellLabel.from_index(int(labels[row])))
-            hp = reg.add_qubit(hadamard_eigenstate(int(payload_bits[row])))
-            outcome, state = bsm(reg.state, hp, h1, FixedRng([u_bsm[row]]))
-            bit, state = hadamard_measure(state, h2, FixedRng([u_meas[row]]))
-            assert outcome.index == outcomes[row]
-            assert bit == bits[row]
-            np.testing.assert_allclose(state.amplitudes, batch.states[row], atol=ATOL)
+            state = np.kron(bell_target(labels[row]), oracles.hadamard_state(payload_bits[row]))
+            probs = [oracles.dense_project(state, bell_target(o), (2, 0))[0] for o in range(4)]
+            assert inverse_cdf(np.array(probs), u_bsm[row]) == outcomes[row]
+            _, state = oracles.dense_project(state, bell_target(outcomes[row]), (2, 0))
+            probs = [oracles.dense_project(state, oracles.hadamard_state(b), (1,))[0] for b in (0, 1)]
+            assert inverse_cdf(np.array(probs), u_meas[row]) == bits[row]
+            _, state = oracles.dense_project(state, oracles.hadamard_state(bits[row]), (1,))
+            np.testing.assert_allclose(batch.states[row], state, atol=ATOL)
 
     def test_norms_preserved(self):
         batch = BatchRegister(5)
@@ -424,13 +459,80 @@ class TestBatchRegister:
         np.testing.assert_allclose(norms, 1.0, atol=ATOL)
 
 
-def hadamard_probability(amplitudes: np.ndarray, qubit: int, bit: int) -> float:
-    n = amplitudes.size.bit_length() - 1
-    mat = np.moveaxis(amplitudes.reshape([2] * n), qubit, 0).reshape(2, -1)
-    return float(np.linalg.norm(HADAMARD_BASIS[bit] @ mat) ** 2)
-
-
 UNIFORMS = st.sampled_from([0.0, 0.5, 1.0 - 2.0 ** -32, 1.0]) | st.floats(0.0, 1.0)
+FIXED_QUBITS = {-1: [1.0, 0.0], -2: [0.0, 1.0], -3: PLUS, -4: MINUS}
+MAX_DRAWN_QUBITS = 5
+
+
+def drawn_qubit(code: int) -> np.ndarray:
+    """A basis or Hadamard eigenstate for negative codes, else a seeded random state."""
+    if code < 0:
+        return np.asarray(FIXED_QUBITS[code], dtype=complex)
+    return oracles.random_qubit_state(np.random.default_rng(code))
+
+
+class TestDenseOracle:
+    """Random operation sequences on 1-4 rows against the dense oracle, row by row, phase included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_sequences_match_oracle(self, data):
+        rows = data.draw(st.integers(1, 4), label="rows")
+
+        def per_row(strategy):
+            return st.lists(strategy, min_size=rows, max_size=rows)
+
+        reg = BatchRegister(rows)
+        dense = [np.ones(1, dtype=complex) for _ in range(rows)]
+        for _ in range(data.draw(st.integers(1, 8), label="steps")):
+            n = reg.num_qubits
+            kinds = [kind for kind, ok in (("bell", n + 2 <= MAX_DRAWN_QUBITS), ("qubit", n < MAX_DRAWN_QUBITS),
+                                           ("bsm", n >= 2), ("project_bell", n >= 2),
+                                           ("hadamard", n >= 1), ("frame", n >= 1)) if ok]
+            kind = data.draw(st.sampled_from(kinds), label="op")
+            if kind == "bell":
+                labels = data.draw(per_row(st.integers(0, 3)), label="labels")
+                reg.append_bell(labels)
+                dense = [np.kron(state, bell_target(label)) for state, label in zip(dense, labels)]
+            elif kind == "qubit":
+                qubits = [drawn_qubit(code) for code in data.draw(per_row(st.integers(-4, 2 ** 16)), label="qubits")]
+                reg.append_qubit(np.array(qubits))
+                dense = [np.kron(state, qubit) for state, qubit in zip(dense, qubits)]
+            elif kind == "frame":
+                q = data.draw(st.integers(0, n - 1), label="qubit")
+                k, k_prime = (np.array(data.draw(per_row(st.integers(0, 1)), label=name)) for name in ("k", "k'"))
+                reg.apply_frame(reg.handles[q], k, k_prime)
+                dense = [oracles.dense_operator({q: oracles.pauli_matrix(k[row], k_prime[row])}, n) @ dense[row]
+                         for row in range(rows)]
+            else:
+                if kind == "hadamard":
+                    qubits = (data.draw(st.integers(0, n - 1), label="qubit"),)
+                    targets = [oracles.hadamard_state(bit) for bit in (0, 1)]
+                else:
+                    qubits = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+                                             label="qubits"))
+                    targets = [bell_target(o) for o in range(4)]
+                handles = [reg.handles[q] for q in qubits]
+                if kind == "project_bell":
+                    outcomes = np.array(data.draw(per_row(st.integers(0, 3)), label="outcomes"))
+                    expected = [oracles.dense_project(dense[row], targets[outcomes[row]], qubits)[0]
+                                for row in range(rows)]
+                    if min(expected) <= ATOL:
+                        before = reg.states.copy()
+                        with pytest.raises(InvalidTargetError, match="zero probability"):
+                            reg.project_bell(*handles, outcomes)
+                        np.testing.assert_array_equal(reg.states, before)
+                        continue
+                    np.testing.assert_allclose(reg.project_bell(*handles, outcomes), expected, atol=ATOL)
+                else:
+                    uniforms = np.array(data.draw(per_row(UNIFORMS), label="uniforms"))
+                    measure = reg.bsm if kind == "bsm" else reg.hadamard_measure
+                    outcomes = measure(*handles, uniforms)
+                for row in range(rows):
+                    prob, dense[row] = oracles.dense_project(dense[row], targets[outcomes[row]], qubits)
+                    assert prob > ATOL
+            for row in range(rows):
+                np.testing.assert_allclose(reg.states[row], dense[row], atol=ATOL)
 
 
 class TestBatchSampler:
@@ -452,11 +554,11 @@ class TestBatchSampler:
         middle = batch.states.copy()
         bits = batch.hadamard_measure(batch.handles[q3], u_had)
         for row in range(len(rows)):
-            state = StateVector(before[row])
-            assert bsm_probabilities(state, q1, q2)[outcomes[row]] > ATOL
-            _, post = project_bell(state, q1, q2, BsmOutcome.from_index(int(outcomes[row])))
-            np.testing.assert_allclose(post.amplitudes, middle[row], atol=ATOL)
-            assert hadamard_probability(middle[row], q3, int(bits[row])) > ATOL
+            prob, post = oracles.dense_project(before[row], bell_target(outcomes[row]), (q1, q2))
+            assert prob > ATOL
+            np.testing.assert_allclose(post, middle[row], atol=ATOL)
+            prob, _ = oracles.dense_project(middle[row], oracles.hadamard_state(bits[row]), (q3,))
+            assert prob > ATOL
             np.testing.assert_allclose(np.linalg.norm(batch.states[row]), 1.0, atol=ATOL)
 
     def test_vanished_row_rejected(self):

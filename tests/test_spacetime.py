@@ -76,6 +76,14 @@ class TestScheduling:
         with pytest.raises(ValueError, match="past"):
             tl.run_until_quiescent()
 
+    def test_cannot_schedule_just_before_now(self):
+        # no tolerance: 5e-13 in the past is still the past, so time never runs backwards
+        tl = timeline()
+        tl.schedule(1.0, V1, "now", lambda: tl.schedule(1.0 - 5e-13, V1, "earlier"))
+        with pytest.raises(ValueError, match="past"):
+            tl.run_until_quiescent()
+        assert [event.time for event in tl.log] == [1.0]
+
     def test_equal_arrival_messages_delivered_in_actor_order(self):
         tl = timeline()
         seen = []
@@ -129,21 +137,6 @@ class TestMessaging:
         assert handle.owner == V1.id
         tl.run_until_quiescent()
         assert handle.owner == P.id and not handle.in_transit
-
-    def test_schedule_message_validates_arrival_invariant(self):
-        tl = timeline()
-        bad = Message(V1, P, emit_time=0.0, arrival_time=0.5, kind="bad")
-        with pytest.raises(ValueError, match="arrival time"):
-            tl.schedule_message(bad)
-
-    def test_schedule_message_delivers(self):
-        tl = timeline()
-        value = tl.new_value(V1, "x", 3)
-        got = []
-        ok = Message(V1, P, emit_time=0.0, arrival_time=1.0, kind="ok", values=(value,))
-        tl.schedule_message(ok, handler=lambda m: got.append(m.values[0].payload))
-        tl.run_until_quiescent()
-        assert got == [3]
 
 
 class TestLedger:
