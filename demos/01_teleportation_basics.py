@@ -9,7 +9,7 @@ bits the receiver sees pure noise.
 
 import numpy as np
 
-from qpv import BatchRegister, BellLabel, BsmOutcome, pauli_frame_from
+from qpv import BatchRegister, pauli_frame_from
 from qpv.oracles import random_qubit_state
 
 
@@ -24,22 +24,23 @@ print("== one teleportation, step by step ==")
 payload_vec = random_qubit_state(rng)
 print(f"payload amplitudes: {np.round(payload_vec, 4)}")
 
-shared = BellLabel(1, 0)
+# labels, outcomes and corrections are ints 2a + b / 2k + k'
+shared = 0b10
 reg = BatchRegister(1)
 payload = reg.append_qubit(payload_vec, owner="sender")
-sender_half, receiver_half = reg.append_bell([shared.index], owner_first="sender", owner_second="receiver")
+sender_half, receiver_half = reg.append_bell([shared], owner_first="sender", owner_second="receiver")
 
-outcome = BsmOutcome.from_index(int(reg.bsm(payload, sender_half, rng.random(1))[0]))
-frame = pauli_frame_from(shared, outcome)
-print(f"shared label ({shared.a},{shared.b}), BSM outcome ({outcome.first},{outcome.second})"
-      f" -> correction k={frame.k} k'={frame.k_prime}")
+outcome = int(reg.bsm(payload, sender_half, rng.random(1))[0])
+k, k_prime = divmod(pauli_frame_from(shared, outcome), 2)
+print(f"shared label ({shared >> 1},{shared & 1}), BSM outcome ({outcome >> 1},{outcome & 1})"
+      f" -> correction k={k} k'={k_prime}")
 
 raw_fidelity = fidelity(reg, receiver_half, payload_vec)
 print(f"receiver fidelity before correction: {raw_fidelity:.4f}")
 
 # undo sigma_z^k sigma_x^k' by applying sigma_x^k' then sigma_z^k
-reg.apply_frame(receiver_half, 0, frame.k_prime)
-reg.apply_frame(receiver_half, frame.k, 0)
+reg.apply_frame(receiver_half, 0, k_prime)
+reg.apply_frame(receiver_half, k, 0)
 print(f"receiver fidelity after correction:  {fidelity(reg, receiver_half, payload_vec):.6f}")
 
 print()
@@ -54,10 +55,9 @@ print("each correction is equally likely, so the uncorrected half is maximally m
 
 print()
 print("== the four-case correction table ==")
-for label_index in range(4):
-    shared = BellLabel.from_index(label_index)
+for shared in range(4):
     row = []
-    for outcome_index in range(4):
-        f = pauli_frame_from(shared, BsmOutcome.from_index(outcome_index))
-        row.append(f"bb'={outcome_index:02b} -> (k={f.k}, k'={f.k_prime})")
-    print(f"shared |{shared.a}{shared.b}>: " + "  ".join(row))
+    for outcome in range(4):
+        k, k_prime = divmod(pauli_frame_from(shared, outcome), 2)
+        row.append(f"bb'={outcome:02b} -> (k={k}, k'={k_prime})")
+    print(f"shared |{shared:02b}>: " + "  ".join(row))

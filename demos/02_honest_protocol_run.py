@@ -23,7 +23,7 @@ print()
 glyph = {0: "+", 1: "-"}
 for i, t in enumerate(transcripts):
     print(f"pair {i}: challenge |{glyph[config.challenge_states[i]]}> "
-          f"w'=({t.w_prime.first},{t.w_prime.second}) "
+          f"w'=({t.w_prime >> 1},{t.w_prime & 1}) "
           f"report |{glyph[t.prover_state_report]}> "
           f"V2 measured |{glyph[t.v2_outcome]}>")
 print()

@@ -11,12 +11,9 @@ Monte Carlo harness that reproduces the 1 - 2^-n detection bound.
 from .quantum import (
     ATOL,
     BatchRegister,
-    BellLabel,
-    BsmOutcome,
     InvalidTargetError,
     NotProductError,
     OwnershipError,
-    PauliFrame,
     QubitHandle,
     pauli_frame_from,
     swap_label,
@@ -39,11 +36,8 @@ from .protocol import (
     Verdict,
     deadline,
     judge,
-    reduce_announcement,
     run_honest,
     transcripts_to_json,
-    verify_v1,
-    verify_v2,
 )
 from .adversary import SHIPPED_STRATEGIES, AttackConfig, AttackOutcome, run_attack
 from .analysis import (

@@ -31,14 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .protocol import (
-    ProtocolConfig,
-    TrialCore,
-    PairTranscript,
-    Verdict,
-    VARIANT_TWO_BIT,
-)
-from .quantum import BellLabel
+from . import quantum
+from .protocol import ProtocolConfig, TrialCore, PairTranscript, Verdict, announcement, completion_time
 from .spacetime import Actor, Event
 
 
@@ -50,7 +44,7 @@ class AttackConfig:
     delta: float = 0.1
     rounds: int = 1  # bounded_rounds parameter
     preshared_pairs: int | None = None  # None = unlimited pre-shared entanglement
-    preshared_label: BellLabel = field(default_factory=lambda: BellLabel(0, 0))
+    preshared_label: int = 0  # Bell label 2a + b of every pre-shared pair
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
 
     def validate(self) -> None:
@@ -63,28 +57,17 @@ class AttackConfig:
             raise ValueError(f"delta={self.delta} is below the float resolution ulp(2x) at x={self.protocol.x}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if not quantum.is_label(self.preshared_label):
+            raise ValueError(f"preshared_label must be an int in 0..3 (2a + b), got {self.preshared_label!r}")
 
 
 @dataclass
 class AttackOutcome:
     verdict: Verdict
-    pair_passes: list[bool]
     earliest_complete_response_time: float
     agreement_time: float | None
     transcripts: list[PairTranscript]
     events: list[Event]
-
-
-def _completion_time(core: TrialCore) -> float:
-    """Latest first-arrival among the materials the verifiers' checks consume."""
-    required = [
-        core.materials_v1.report_time,
-        core.materials_v2.report_time,
-        core.materials_v2.announcement_time,
-    ]
-    if core.config.strict_duplicates:
-        required.append(core.materials_v1.announcement_time)
-    return max(required)
 
 
 class _ColluderPair:
@@ -99,11 +82,6 @@ class _ColluderPair:
 
     def actors(self) -> list[Actor]:
         return [self.p1, self.p2]
-
-    def announced(self, outcome_indices: np.ndarray) -> np.ndarray:
-        if self.core.config.variant == VARIANT_TWO_BIT:
-            return outcome_indices
-        return outcome_indices >> 1
 
 
 class _GuessStrategy(_ColluderPair):
@@ -135,7 +113,7 @@ class _GuessStrategy(_ColluderPair):
             fresh = core.reg_v2side.append_hadamard_eigenstates(guesses, self.p2.id)
             pp2 = core.reg_v2side.bsm(fresh, core.q_p2, core.sample_uniforms(), by=self.p2.id)
             tl.collapse_notice(self.p2, [core.q_v2], "guessed eigenstates teleported to V2")
-            ann_value = tl.new_value(self.p2, "announcement", self.announced(pp2))
+            ann_value = tl.new_value(self.p2, "announcement", announcement(pp2, core.config.variant))
             tl.send(self.p2, core.v2, "prover_response", values=[guess_value, ann_value], handler=core.v2_receive)
             tl.send(self.p2, self.p1, "collusion", values=[ann_value], handler=on_relay)
 
@@ -159,14 +137,20 @@ class _SwapForwardStrategy(_ColluderPair):
     correction-adjusted report and announcement and forwards them: V2's copy
     arrives at 2x (on time, content exact), V1's earliest copy arrives at
     (x + 2*delta) + (x - delta) = 2x + delta, after the deadline.
-    """
 
-    log_rounds = 0
-    mark_agreement = False
+    As ``bounded_rounds``, each colluder also logs ``config.rounds`` free
+    instantaneous local rounds at t = x, each costing a pre-shared pair per
+    channel pair, and P1 marks the agreement on the full response when the
+    local outcomes reach it: the free rounds model unlimited local
+    processing, and the binding constraint stays the 2*delta classical
+    exchange, so the agreement lands exactly at x + 2*delta.
+    """
 
     def __init__(self, core: TrialCore, config: AttackConfig):
         super().__init__(core, config)
-        required = core.config.n
+        self.bounded = config.strategy == "bounded_rounds"
+        self.rounds = config.rounds if self.bounded else 0
+        required = core.config.n * (1 + self.rounds)
         if config.preshared_pairs is not None and config.preshared_pairs < required:
             raise ValueError(
                 f"insufficient pre-shared pairs: strategy needs {required}, have {config.preshared_pairs}"
@@ -179,26 +163,26 @@ class _SwapForwardStrategy(_ColluderPair):
         self.local_value = None  # (measurement bits, onward BSM outcomes) at P2
 
         def presetup() -> None:
-            labels = np.full(core.slots, lpre.index, dtype=np.intp)
+            labels = np.full(core.slots, lpre, dtype=np.intp)
             self.q_pre1, self.q_pre2 = core.reg_v1side.append_bell(labels, self.p1.id, self.p2.id)
             label_value = tl.new_value(self.p1, "preshared_label", labels)
             tl.ledger.record(self.p2.id, label_value, 0.0)
+
+        def log_free_rounds(actor: Actor) -> None:
+            for k in range(self.rounds):
+                tl.schedule(core.x, actor, "local_round", None, f"free instantaneous round {k + 1}")
 
         def on_p1_half(message) -> None:
             swap = core.reg_v1side.bsm(core.q_p1, self.q_pre1, core.sample_uniforms(), by=self.p1.id)
             tl.collapse_notice(self.p1, [core.q_v1, self.q_pre2], "channel swapped onto far colluder")
             self.swap_value = tl.new_value(self.p1, "swap_outcome", swap)
             tl.send(self.p1, self.p2, "collusion", values=[self.swap_value], handler=on_swap_outcome)
-            if self.log_rounds:
-                for k in range(self.log_rounds):
-                    tl.schedule(core.x, self.p1, "local_round", None, f"free instantaneous round {k + 1}")
+            log_free_rounds(self.p1)
 
         def on_p2_half(message) -> None:
             tl.schedule(core.x, self.p2, "extract", p2_extract, "measure landed challenge, teleport onward")
             tl.schedule(core.x, self.p2, "share", p2_share_local, "ship local outcomes to near colluder")
-            if self.log_rounds:
-                for k in range(self.log_rounds):
-                    tl.schedule(core.x, self.p2, "local_round", None, f"free instantaneous round {k + 1}")
+            log_free_rounds(self.p2)
 
         def p2_extract() -> None:
             measured = core.reg_v1side.hadamard_measure(self.q_pre2, core.sample_uniforms(), by=self.p2.id)
@@ -209,9 +193,12 @@ class _SwapForwardStrategy(_ColluderPair):
             self.local_value = tl.new_value(self.p2, "colluder_local", (measured, onward))
 
         def corrected(measured, onward, swap) -> tuple[np.ndarray, np.ndarray]:
-            reports = measured ^ (lpre.a ^ (swap >> 1))
-            announcements = onward ^ lpre.index ^ swap
-            return reports, announcements
+            # The swap leaves V1's channel with label swap_label(l1, lpre, swap);
+            # labels add by XOR, so its shift from l1 is the outer label over a
+            # |00> channel. Undo its phase bit on the reports and fold the whole
+            # shift into the announcements, which V2 decodes with l2.
+            shift = quantum.swap_label(0, lpre, swap)
+            return measured ^ (shift >> 1), onward ^ shift
 
         def on_swap_outcome(message) -> None:
             # P2 now holds everything: send exact responses to V2 (on time)
@@ -219,7 +206,7 @@ class _SwapForwardStrategy(_ColluderPair):
             measured, onward = self.local_value.payload
             reports, announcements = corrected(measured, onward, message.values[0].payload)
             report_value = tl.new_value(self.p2, "state_report", reports)
-            ann_value = tl.new_value(self.p2, "announcement", self.announced(announcements))
+            ann_value = tl.new_value(self.p2, "announcement", announcement(announcements, core.config.variant))
             tl.send(self.p2, core.v2, "prover_response", values=[report_value, ann_value],
                     handler=core.v2_receive)
             tl.send(self.p2, core.v1, "prover_response", values=[report_value, ann_value],
@@ -228,14 +215,14 @@ class _SwapForwardStrategy(_ColluderPair):
         def on_local_outcomes(message) -> None:
             # P1 has both halves of the collusion data; V1's nearest correct
             # copy leaves here and lands at 2x + delta.
-            if self.mark_agreement:
+            if self.bounded:
                 self.agreement_time = tl.now
                 tl.schedule(tl.now, self.p1, "agreement",
                             None, "colluders agree on state report and announcement")
             measured, onward = message.values[0].payload
             reports, announcements = corrected(measured, onward, self.swap_value.payload)
             report_value = tl.new_value(self.p1, "state_report", reports)
-            ann_value = tl.new_value(self.p1, "announcement", self.announced(announcements))
+            ann_value = tl.new_value(self.p1, "announcement", announcement(announcements, core.config.variant))
             tl.send(self.p1, core.v1, "prover_response", values=[report_value, ann_value],
                     handler=core.v1_receive)
 
@@ -244,26 +231,6 @@ class _SwapForwardStrategy(_ColluderPair):
 
         tl.schedule(0.0, self.p1, "presetup", presetup, "distribute pre-shared Bell pairs")
         core.schedule_verifier_prep(self.p1, on_p1_half, self.p2, on_p2_half)
-
-
-class _BoundedRoundsStrategy(_SwapForwardStrategy):
-    """Swap attack with r free local rounds and an explicit agreement event.
-
-    The free rounds model unlimited instantaneous local processing; the
-    binding constraint stays the 2*delta classical exchange, so the colluders
-    agree on the full response exactly at x + 2*delta.
-    """
-
-    mark_agreement = True
-
-    def __init__(self, core: TrialCore, config: AttackConfig):
-        self.log_rounds = config.rounds
-        required = core.config.n * (1 + config.rounds)
-        if config.preshared_pairs is not None and config.preshared_pairs < required:
-            raise ValueError(
-                f"insufficient pre-shared pairs: strategy needs {required}, have {config.preshared_pairs}"
-            )
-        _ColluderPair.__init__(self, core, config)
 
 
 class _CheatReadWPrime(_GuessStrategy):
@@ -282,7 +249,7 @@ class _CheatReadWPrime(_GuessStrategy):
 STRATEGIES = {
     "guess": _GuessStrategy,
     "swap_and_forward": _SwapForwardStrategy,
-    "bounded_rounds": _BoundedRoundsStrategy,
+    "bounded_rounds": _SwapForwardStrategy,
     "cheat_w_prime": _CheatReadWPrime,  # test-only negative control
 }
 
@@ -327,8 +294,7 @@ def run_attack(
     transcripts = core.build_transcripts() if collect_transcripts else []
     return AttackOutcome(
         verdict=verdict,
-        pair_passes=list(verdict.pair_passes),
-        earliest_complete_response_time=_completion_time(core),
+        earliest_complete_response_time=completion_time(core.config, core.materials_v1, core.materials_v2),
         agreement_time=strategy.agreement_time,
         transcripts=transcripts,
         events=events,

@@ -13,7 +13,7 @@ import sys
 
 from .adversary import SHIPPED_STRATEGIES, AttackConfig, run_attack
 from .analysis import ExperimentSpec, render_csv, run_experiment, write_report
-from .protocol import ProtocolConfig, run_honest, transcripts_to_json
+from .protocol import VARIANT_TWO_BIT, ProtocolConfig, run_honest, transcripts_to_json
 from .selftest import SUITES, run_selftest
 from .spacetime import format_event_log
 
@@ -57,10 +57,10 @@ def _protocol_config(settings: dict) -> ProtocolConfig:
 def _print_transcripts(transcripts) -> None:
     for i, t in enumerate(transcripts):
         ann = t.pp_prime
-        if hasattr(ann, "first"):
-            ann = f"({ann.first},{ann.second})"
+        if ann is not None and t.variant == VARIANT_TWO_BIT:
+            ann = f"({ann >> 1},{ann & 1})"
         print(
-            f"pair {i}: w'=({t.w_prime.first},{t.w_prime.second})"
+            f"pair {i}: w'=({t.w_prime >> 1},{t.w_prime & 1})"
             f" report={_BIT_GLYPH.get(t.prover_state_report, '?')}"
             f" announcement={ann}"
             f" v2_outcome={_BIT_GLYPH.get(t.v2_outcome, '?')}"

@@ -4,13 +4,14 @@ Everything here recomputes expected results by direct dense linear algebra
 (kron products and explicit projections) without going through the register
 operations in :mod:`qpv.quantum`, so the two routes stay independent. The
 selftest command and the test suite compare the implementation against these.
+Labels and outcomes are ints ``2a + b``; each oracle unpacks its own bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .quantum import BellLabel, BsmOutcome, SQRT_HALF
+from .quantum import SQRT_HALF
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -65,16 +66,16 @@ def bsm_norms_payload_with_bell_half(payload: np.ndarray, shared_a: int, shared_
     return norms
 
 
-def teleport_receiver_oracle(payload: np.ndarray, shared: BellLabel, outcome: BsmOutcome) -> np.ndarray:
+def teleport_receiver_oracle(payload: np.ndarray, shared: int, outcome: int) -> np.ndarray:
     """Receiver-half state after a forced BSM outcome, by dense projection.
 
     Layout: qubit 0 payload, qubit 1 sender half, qubit 2 receiver half; the
     pair (1, 2) starts in the shared Bell state and the BSM projects (0, 1).
     Returns the normalized 2-vector left on qubit 2 (defined up to phase).
     """
-    full = np.kron(np.asarray(payload, dtype=complex), bell_state(shared.a, shared.b))
+    full = np.kron(np.asarray(payload, dtype=complex), bell_state(shared >> 1, shared & 1))
     tensor = full.reshape(2, 2, 2)
-    bra = bell_state(outcome.first, outcome.second).conj().reshape(2, 2)
+    bra = bell_state(outcome >> 1, outcome & 1).conj().reshape(2, 2)
     receiver = np.einsum("ps,psr->r", bra, tensor)
     norm = np.linalg.norm(receiver)
     if norm < 1e-12:
@@ -87,16 +88,16 @@ def expected_receiver_state(payload: np.ndarray, k: int, k_prime: int) -> np.nda
     return pauli_matrix(k, k_prime) @ np.asarray(payload, dtype=complex)
 
 
-def swap_outer_label_oracle(shared1: BellLabel, shared2: BellLabel, outcome: BsmOutcome) -> BellLabel:
+def swap_outer_label_oracle(shared1: int, shared2: int, outcome: int) -> int:
     """Outer-pair Bell label after an inner BSM, by dense projection.
 
     Layout: qubits (0, 1) in the first Bell state, (2, 3) in the second;
     the BSM projects the inner pair (1, 2). The collapsed (0, 3) state is
     matched against the four Bell states up to global phase.
     """
-    full = np.kron(bell_state(shared1.a, shared1.b), bell_state(shared2.a, shared2.b))
+    full = np.kron(bell_state(shared1 >> 1, shared1 & 1), bell_state(shared2 >> 1, shared2 & 1))
     tensor = full.reshape(2, 2, 2, 2)
-    bra = bell_state(outcome.first, outcome.second).conj().reshape(2, 2)
+    bra = bell_state(outcome >> 1, outcome & 1).conj().reshape(2, 2)
     outer = np.einsum("mk,amkd->ad", bra, tensor).reshape(4)
     norm = np.linalg.norm(outer)
     if norm < 1e-12:
@@ -104,7 +105,7 @@ def swap_outer_label_oracle(shared1: BellLabel, shared2: BellLabel, outcome: Bsm
     outer /= norm
     for idx in range(4):
         if equal_up_to_phase(outer, bell_state(idx >> 1, idx & 1)):
-            return BellLabel.from_index(idx)
+            return idx
     raise ValueError("outer pair did not collapse to a Bell state")
 
 
@@ -118,8 +119,9 @@ FRAME_TABLE = {
 }
 
 
-def frame_oracle(shared: BellLabel, outcome: BsmOutcome) -> tuple[int, int]:
-    return FRAME_TABLE[(shared.a, shared.b)](outcome.first, outcome.second)
+def frame_oracle(shared: int, outcome: int) -> tuple[int, int]:
+    """Correction exponents (k, k') for a shared label and a BSM outcome, read from ``FRAME_TABLE``."""
+    return FRAME_TABLE[(shared >> 1, shared & 1)](outcome >> 1, outcome & 1)
 
 
 def random_qubit_state(rng: np.random.Generator) -> np.ndarray:

@@ -39,7 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .philox import key_words, philox4x32, seed_keys
-from .quantum import BatchRegister, BellLabel, BsmOutcome
+from . import quantum
+from .quantum import BatchRegister, is_label
 from .spacetime import Actor, CausalityViolationError, Event, Timeline, verify_causality
 
 SPEED_OF_LIGHT = 1.0
@@ -67,8 +68,8 @@ class ProtocolConfig:
     n: int = 4
     x: float = 1.0
     challenge_states: Sequence[int] | None = None
-    bell_labels_v1: Sequence[BellLabel] | None = None
-    bell_labels_v2: Sequence[BellLabel] | None = None
+    bell_labels_v1: Sequence[int] | None = None  # one label 2a + b per pair; |00> when unset
+    bell_labels_v2: Sequence[int] | None = None
     variant: str = VARIANT_TWO_BIT
     deadline_slack: float = 0.0
     strict_duplicates: bool = False
@@ -93,6 +94,10 @@ class ProtocolConfig:
             for bit in self.challenge_states:
                 if bit not in (0, 1):
                     raise ValueError("challenge states must be bits (0 = |+>, 1 = |->)")
+        for name in ("bell_labels_v1", "bell_labels_v2"):
+            labels = getattr(self, name)
+            if labels is not None and not all(map(is_label, labels)):
+                raise ValueError(f"{name} entries must be ints in 0..3 (2a + b), got {list(labels)!r}")
 
 
 def deadline(config: ProtocolConfig) -> float:
@@ -102,20 +107,26 @@ def deadline(config: ProtocolConfig) -> float:
 
 @dataclass
 class PairTranscript:
-    """Per-pair record of all classical values and timestamps."""
+    """Per-pair record of all classical values and timestamps.
 
-    w_prime: BsmOutcome
-    pp_prime: "BsmOutcome | int | None"
+    ``w_prime`` is the outcome 2a + b; ``pp_prime`` is the announcement as
+    ``variant`` defines it (see :func:`announcement`), None if none arrived.
+    """
+
+    w_prime: int
+    pp_prime: int | None
     prover_state_report: int | None
     v2_outcome: int | None
+    variant: str
     timestamps: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """Outcomes as [a, b] pairs; a one-bit announcement stays a bare bit."""
         pp = self.pp_prime
-        if isinstance(pp, BsmOutcome):
-            pp = [pp.first, pp.second]
+        if pp is not None and self.variant == VARIANT_TWO_BIT:
+            pp = [pp >> 1, pp & 1]
         return {
-            "w_prime": [self.w_prime.first, self.w_prime.second],
+            "w_prime": [self.w_prime >> 1, self.w_prime & 1],
             "pp_prime": pp,
             "prover_state_report": self.prover_state_report,
             "v2_outcome": self.v2_outcome,
@@ -135,46 +146,27 @@ class Verdict:
     pair_passes: list[bool]
 
 
-def verify_v1(psi: int, reported_state: int, w_prime: BsmOutcome, shared: BellLabel) -> bool:
-    """V1's consistency check of the reported state against its own teleport.
+def announcement(outcomes, variant: str):
+    """What the prover announces for its BSM outcomes 2a + b: all of them, or one bit.
 
-    The corrected half is sigma_z^k sigma_x^k' |psi> with k = shared.a xor
-    w'.first, and its Hadamard value for |+>/|-> challenges is psi xor k.
+    Under ``single_bit`` only the phase-flip bit ``a`` is sent: the verifier
+    holding label l recovers k = (l >> 1) xor a, which is all the
+    Hadamard-basis check needs; the bit-flip half of the correction only
+    changes |+>/|-> by an overall phase.
     """
-    return reported_state == psi ^ shared.a ^ w_prime.first
+    return outcomes if variant == VARIANT_TWO_BIT else outcomes >> 1
 
 
-def reduce_announcement(pp_prime: BsmOutcome, shared: BellLabel) -> int:
-    """Single announcement bit that keeps the phase-flip exponent reconstructible.
+def completion_time(config: ProtocolConfig, materials_v1: MaterialStore, materials_v2: MaterialStore) -> float:
+    """Latest first arrival among the materials the verdict requires.
 
-    The verifier holding ``shared`` recovers k = shared.a xor p, which is all
-    the Hadamard-basis check needs; the bit-flip half of the correction only
-    changes |+>/|-> by an overall phase. Exhaustively consistent with
-    ``pauli_frame_from`` on all 16 (shared, outcome) combinations.
+    Those are both reports, V2's announcement, and V1's announcement under
+    ``config.strict_duplicates``; inf while any of them is missing.
     """
-    del shared  # the first outcome bit suffices for every shared label
-    return pp_prime.first
-
-
-def verify_v2(
-    reported_state: int,
-    announcement: "BsmOutcome | int",
-    v2_measured: int,
-    shared: BellLabel,
-    variant: str = VARIANT_TWO_BIT,
-) -> bool:
-    """V2's consistency check of its decoded measurement against the report."""
-    if variant == VARIANT_TWO_BIT:
-        if not isinstance(announcement, BsmOutcome):
-            raise ValueError("two_bit variant requires a full BsmOutcome announcement")
-        first = announcement.first
-    elif variant == VARIANT_SINGLE_BIT:
-        if isinstance(announcement, BsmOutcome) or announcement not in (0, 1):
-            raise ValueError("single_bit variant requires a one-bit announcement")
-        first = announcement
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return v2_measured == reported_state ^ shared.a ^ first
+    required = [materials_v1.report_time, materials_v2.report_time, materials_v2.announcement_time]
+    if config.strict_duplicates:
+        required.append(materials_v1.announcement_time)
+    return max(required)
 
 
 class MaterialStore:
@@ -213,40 +205,38 @@ def judge(
     """Pooled verdict of each trial, over both verifiers' knowledge and materials.
 
     Identical for honest runs and attacks. Every array holds one integer per
-    slot, trial-major (``trials * n`` slots). The frame is shared xor outcome
-    and the checks need only its first (phase-flip) bit, so each is an XOR
-    over all slots at once: V1 checks both report copies against
-    ``psi ^ ((l1 ^ w') >> 1)``; V2 checks ``v2 == report_2 ^ ((l2 ^ ann_2) >> 1)``,
-    or ``report_2 ^ (l2 >> 1) ^ ann_2`` for one-bit announcements, which are
-    that first bit; the announcement duplicates must agree.
+    slot, trial-major (``trials * n`` slots). The frame is
+    ``quantum.pauli_frame_from(label, outcome)`` and the checks need only its
+    first (phase-flip) bit k, so each is an XOR over all slots at once: V1
+    checks both report copies against ``psi ^ k(l1, w')``; V2 checks
+    ``v2 == report_2 ^ k(l2, ann_2)``, where a one-bit announcement stands
+    for the outcome ``2 * ann_2``; the announcement duplicates must agree.
 
     A material is usable iff its first arrival time is finite and
     <= ``deadline(config)`` = 2x/c + slack: exact, ties accepted, no
     tolerance, so an arrival that meets the deadline only up to rounding can
     land on either side; a caller who needs a margin sets the slack. A missing
-    or late required material fails on timing, which outranks a v1
-    inconsistency (either report copy), which outranks a v2 inconsistency
-    (decode failure or mismatching duplicates). Duplicates are compared only
+    or late required material (see :func:`completion_time`) fails on timing,
+    which outranks a v1 inconsistency (either report copy), which outranks a
+    v2 inconsistency (decode failure or mismatching duplicates). Duplicates are compared only
     when both copies are usable; a missing one counts against the prover only
     under ``config.strict_duplicates``.
     """
     cutoff = deadline(config)
-    r1, r2, a1, a2 = (math.isfinite(t) and t <= cutoff for t in (
-        materials_v1.report_time, materials_v2.report_time,
-        materials_v1.announcement_time, materials_v2.announcement_time))
+
+    def usable(time: float) -> bool:
+        return math.isfinite(time) and time <= cutoff
+
     trials = len(challenges) // config.n
-    if not (r1 and r2 and a2 and v2_measured is not None and (a1 or not config.strict_duplicates)):
+    if v2_measured is None or not usable(completion_time(config, materials_v1, materials_v2)):
         return [Verdict(False, REASON_TIMING, [False] * config.n) for _ in range(trials)]
 
     report_2, ann_2 = materials_v2.report, materials_v2.announcement
-    expected = challenges ^ ((labels_v1 ^ w_prime) >> 1)
+    expected = challenges ^ (quantum.pauli_frame_from(labels_v1, w_prime) >> 1)
     v1_bad = (materials_v1.report != expected) | (report_2 != expected)
-    if config.variant == VARIANT_TWO_BIT:
-        k_2 = (labels_v2 ^ ann_2) >> 1
-    else:
-        k_2 = (labels_v2 >> 1) ^ ann_2
-    v2_bad = v2_measured != report_2 ^ k_2
-    if a1:  # a missing V1 copy passed the timing check only if duplicates are lenient
+    outcomes_2 = ann_2 if config.variant == VARIANT_TWO_BIT else ann_2 << 1
+    v2_bad = v2_measured != report_2 ^ (quantum.pauli_frame_from(labels_v2, outcomes_2) >> 1)
+    if usable(materials_v1.announcement_time):  # a missing V1 copy is required only under strict duplicates
         v2_bad |= materials_v1.announcement != ann_2
     passes = (~(v1_bad | v2_bad)).reshape(trials, config.n).tolist()
     v1_failed = v1_bad.reshape(trials, config.n).any(axis=1).tolist()
@@ -346,9 +336,9 @@ class TrialCore:
         """One bit per register row: the top bit of the next draw's word."""
         return (self._next_words() >> np.uint64(31)).astype(np.int64)
 
-    def slot_labels(self, labels: Sequence[BellLabel] | None) -> np.ndarray:
-        """Bell label index of every register row; |00> when unset."""
-        per_pair = [lab.index for lab in labels] if labels is not None else [0] * self.n
+    def slot_labels(self, labels: Sequence[int] | None) -> np.ndarray:
+        """Bell label of every register row; |00> when unset."""
+        per_pair = labels if labels is not None else [0] * self.n
         return np.tile(np.array(per_pair, dtype=np.intp), self.trials)
 
     # -- setup ----------------------------------------------------------------
@@ -445,15 +435,11 @@ class TrialCore:
         common["announcement_v2_arrived"] = self.materials_v2.announcement_time
         common["v2_measured_at"] = self.v2_measured_at
         for i in range(self.n):
-            w = BsmOutcome.from_index(int(self.w_prime[i]))
-            ann = None
-            if math.isfinite(self.materials_v2.announcement_time):
-                ann = int(self.materials_v2.announcement[i])
-                if self.config.variant == VARIANT_TWO_BIT:
-                    ann = BsmOutcome.from_index(ann)
+            w = int(self.w_prime[i])
+            ann = int(self.materials_v2.announcement[i]) if math.isfinite(self.materials_v2.announcement_time) else None
             report = int(self.materials_v1.report[i]) if math.isfinite(self.materials_v1.report_time) else None
             v2_out = int(self.v2_measured[i]) if self.v2_measured is not None else None
-            transcripts.append(PairTranscript(w, ann, report, v2_out, dict(common)))
+            transcripts.append(PairTranscript(w, ann, report, v2_out, self.config.variant, dict(common)))
         return transcripts
 
 
@@ -481,8 +467,7 @@ class _HonestProver:
         core.timestamps["prover_measured"] = tl.now
 
         report_value = tl.new_value(self.actor, "state_report", reports)
-        announced = pp if core.config.variant == VARIANT_TWO_BIT else (pp >> 1)
-        ann_value = tl.new_value(self.actor, "announcement", announced)
+        ann_value = tl.new_value(self.actor, "announcement", announcement(pp, core.config.variant))
         emit = tl.now + core.config.prover_delay
         core.timestamps["response_emitted"] = emit
         tl.send(self.actor, core.v1, "prover_response", values=[report_value, ann_value],

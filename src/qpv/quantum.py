@@ -9,9 +9,9 @@ Conventions, fixed once and used everywhere:
 * Basis index = big-endian bit string of qubit indices: qubit 0 is the most
   significant bit, so a 2-qubit amplitude vector is ordered |00>, |01>, |10>, |11>.
 * Bell states: ``bell(a, b) = (|0>|b> + (-1)^a |1>|1 xor b>) / sqrt(2)``.
-  BSM outcomes use the same (a, b) labelling.
+  BSM outcomes use the same (a, b) labelling. Both are the int ``2a + b``.
 * Pauli corrections ``sigma_z^k sigma_x^k'`` are read right to left: the bit
-  flip acts first, the phase flip second.
+  flip acts first, the phase flip second. A correction is the int ``2k + k'``.
 * All floating comparisons use absolute tolerance ``ATOL`` (1e-9); exact
   algebra on multiples of 1/sqrt(2) leaves only rounding error.
 """
@@ -41,67 +41,6 @@ class OwnershipError(ValueError):
     """An actor touched a qubit it does not own or that is in transit."""
 
 
-def _check_bit(value: int, name: str) -> None:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-
-
-@dataclass(frozen=True)
-class BellLabel:
-    """2-bit label (a, b) of a Bell state."""
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        _check_bit(self.a, "a")
-        _check_bit(self.b, "b")
-
-    @property
-    def index(self) -> int:
-        return 2 * self.a + self.b
-
-    @classmethod
-    def from_index(cls, index: int) -> "BellLabel":
-        if not 0 <= index <= 3:
-            raise ValueError(f"Bell label index must be in 0..3, got {index}")
-        return _BELL_LABELS[index]
-
-
-@dataclass(frozen=True)
-class BsmOutcome:
-    """2-bit result of a Bell state measurement, same (a, b) convention as BellLabel."""
-
-    first: int
-    second: int
-
-    def __post_init__(self) -> None:
-        _check_bit(self.first, "first")
-        _check_bit(self.second, "second")
-
-    @property
-    def index(self) -> int:
-        return 2 * self.first + self.second
-
-    @classmethod
-    def from_index(cls, index: int) -> "BsmOutcome":
-        if not 0 <= index <= 3:
-            raise ValueError(f"BSM outcome index must be in 0..3, got {index}")
-        return _BSM_OUTCOMES[index]
-
-
-@dataclass(frozen=True)
-class PauliFrame:
-    """Exponents (k, k') of the correction sigma_z^k sigma_x^k'."""
-
-    k: int
-    k_prime: int
-
-    def __post_init__(self) -> None:
-        _check_bit(self.k, "k")
-        _check_bit(self.k_prime, "k_prime")
-
-
 @dataclass(eq=False)
 class QubitHandle:
     """Reference to one qubit slot of a register, with ownership bookkeeping.
@@ -116,10 +55,6 @@ class QubitHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QubitHandle(index={self.index}, owner={self.owner!r}, in_transit={self.in_transit})"
-
-
-_BELL_LABELS = tuple(BellLabel((i >> 1) & 1, i & 1) for i in range(4))
-_BSM_OUTCOMES = tuple(BsmOutcome((i >> 1) & 1, i & 1) for i in range(4))
 
 
 # Row o = 2a + b is bell(a, b); rows are real and orthonormal, so the same
@@ -142,23 +77,27 @@ FRAME_MATRICES = np.array([
 ])
 
 
-def pauli_frame_from(shared: BellLabel, outcome: BsmOutcome) -> PauliFrame:
-    """Correction exponents left on the receiver half: (k, k') = shared xor outcome.
+def is_label(value) -> bool:
+    """True for an int in 0..3, the 2a + b form of a Bell label, BSM outcome or Pauli frame."""
+    return isinstance(value, (int, np.integer)) and 0 <= value <= 3
 
-    Componentwise XOR of the shared label (a, b) with the BSM outcome
-    (first, second); exact because every state involved is a stabilizer
-    state, so the teleported correction is a Pauli product.
+
+def pauli_frame_from(shared, outcome):
+    """Correction 2k + k' left on the receiver half: the shared label xor the BSM outcome.
+
+    Exact because every state involved is a stabilizer state, so the
+    teleported correction is a Pauli product. Works on ints and int arrays.
     """
-    return PauliFrame(shared.a ^ outcome.first, shared.b ^ outcome.second)
+    return shared ^ outcome
 
 
-def swap_label(shared1: BellLabel, shared2: BellLabel, outcome: BsmOutcome) -> BellLabel:
-    """Bell label of the outer pair after a BSM on the two inner halves.
+def swap_label(shared1, shared2, outcome):
+    """Bell label of the outer pair after a BSM on the two inner halves: all three xored.
 
-    Componentwise XOR of both channel labels with the outcome; verified
-    against the exhaustive brute-force oracle in the test suite.
+    Verified against the exhaustive brute-force oracle in the test suite.
+    Works on ints and int arrays.
     """
-    return BellLabel(shared1.a ^ shared2.a ^ outcome.first, shared1.b ^ shared2.b ^ outcome.second)
+    return shared1 ^ shared2 ^ outcome
 
 
 def _pick_rows(probs: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

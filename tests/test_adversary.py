@@ -24,13 +24,9 @@ from qpv.protocol import (
     deadline,
     run_honest,
     run_honest_batch,
-    verify_v1,
-    verify_v2,
 )
-from qpv.quantum import BatchRegister, BellLabel, BsmOutcome, pauli_frame_from
+from qpv.quantum import BatchRegister, pauli_frame_from
 from qpv.spacetime import CausalityViolationError
-
-ALL_OUTCOMES = [BsmOutcome.from_index(i) for i in range(4)]
 
 
 def attack_config(strategy="guess", n=1, x=1.0, delta=0.1, **kwargs):
@@ -59,6 +55,11 @@ class TestAttackConfig:
     def test_rounds_lower_bound(self):
         with pytest.raises(ValueError, match="rounds"):
             attack_config(strategy="bounded_rounds", rounds=0).validate()
+
+    @pytest.mark.parametrize("label", [4, -1, 1.0, "1"])
+    def test_preshared_label_must_be_a_label(self, label):
+        with pytest.raises(ValueError, match="preshared_label"):
+            attack_config("swap_and_forward", preshared_label=label).validate()
 
     @pytest.mark.parametrize("strategy", ["swap_and_forward", "bounded_rounds"])
     @pytest.mark.parametrize("x,delta", [(1e6 + 0.3, 1e-12), (1e9 + 0.7, 1e-7), (1.0, 0.625 * math.ulp(2.0))])
@@ -98,27 +99,26 @@ class TestGuess:
         assert outcome.earliest_complete_response_time <= deadline(ProtocolConfig(n=2, x=1.0))
         assert outcome.verdict.reason in ("ok", "v1_inconsistent")
 
-    def test_exhaustive_per_pair_enumeration(self):
+    def test_exhaustive_per_pair_enumeration(self, judge_slots):
         # fixed labels: for each of the 4 equiprobable teleport outcomes and
         # each of the 2 guesses, exactly when the guess equals the corrected
         # report does the pooled check pass: acceptance 8/16 = 1/2.
-        shared_v1 = BellLabel(1, 0)
-        shared_v2 = BellLabel(0, 1)
+        shared_v1 = 0b10
+        shared_v2 = 0b01
         psi = 0
-        accept = 0
-        cases = 0
-        for w in ALL_OUTCOMES:
-            true_report = psi ^ pauli_frame_from(shared_v1, w).k
-            for guess in (0, 1):
-                for pp2 in ALL_OUTCOMES:  # P2's own (uniform) BSM outcome
-                    v2_measured = guess ^ pauli_frame_from(shared_v2, pp2).k
-                    v2_ok = verify_v2(guess, pp2, v2_measured, shared_v2)
-                    v1_own = verify_v1(psi, true_report, w, shared_v1)
-                    v1_cross = verify_v1(psi, guess, w, shared_v1)
-                    assert v2_ok and v1_own  # local checks always pass
-                    accept += v1_cross
-                    cases += 1
-        assert accept * 2 == cases
+        # every (w, guess, P2's own uniform BSM outcome pp2), one slot each
+        w, guess, pp2 = np.array(list(np.ndindex(4, 2, 4))).T
+        true_report = psi ^ (pauli_frame_from(shared_v1, w) >> 1)
+        v2_measured = guess ^ (pauli_frame_from(shared_v2, pp2) >> 1)
+        v2_ok = judge_slots(guess, ann=pp2, measured=v2_measured, l2=shared_v2)
+        v1_own = judge_slots(true_report, psi=psi, w=w, l1=shared_v1)
+        v1_cross = judge_slots(guess, psi=psi, w=w, l1=shared_v1)
+        assert all(v.accepted for v in v2_ok + v1_own)  # local checks always pass
+        pooled = judge_slots(true_report, report_2=guess, psi=psi, w=w, l1=shared_v1,
+                             ann=pp2, measured=v2_measured, l2=shared_v2)
+        assert [v.accepted for v in pooled] == [v.accepted for v in v1_cross]
+        accept = sum(v.accepted for v in v1_cross)
+        assert accept * 2 == len(w)
 
     def test_known_challenge_still_half(self):
         # challenges fixed and public: the secret label and uniform w' keep
@@ -129,25 +129,22 @@ class TestGuess:
         rate = batch_acceptance(config, trials)
         assert abs(rate - 0.5) < 3 * math.sqrt(0.25 / trials)
 
-    def test_deterministic_responders_capped_at_half(self):
+    def test_deterministic_responders_capped_at_half(self, judge_slots):
         # exhaustive search over P2's deterministic single-pair responders:
         # prepared eigenstate gamma and a report function h(pp2); acceptance
         # never exceeds 1/2 and reaches it only for h == gamma.
-        shared_v1 = BellLabel(0, 0)
-        shared_v2 = BellLabel(0, 0)
+        shared_v1 = 0b00
+        shared_v2 = 0b00
         psi = 0
+        w, pp2 = np.array(list(np.ndindex(4, 4))).T
         best = 0.0
         for gamma in (0, 1):
             for h_bits in itertools.product((0, 1), repeat=4):
-                accept = 0
-                for w in ALL_OUTCOMES:
-                    for pp2 in ALL_OUTCOMES:
-                        reported = h_bits[pp2.index]
-                        v2_measured = gamma ^ pauli_frame_from(shared_v2, pp2).k
-                        ok = verify_v2(reported, pp2, v2_measured, shared_v2) and verify_v1(
-                            psi, reported, w, shared_v1
-                        )
-                        accept += ok
+                reported = np.array(h_bits)[pp2]
+                v2_measured = gamma ^ (pauli_frame_from(shared_v2, pp2) >> 1)
+                verdicts = judge_slots(reported, psi=psi, w=w, l1=shared_v1, ann=pp2, measured=v2_measured,
+                                       l2=shared_v2)
+                accept = sum(v.accepted for v in verdicts)
                 rate = accept / 16.0
                 best = max(best, rate)
                 assert rate <= 0.5 + 1e-12
@@ -182,12 +179,12 @@ class TestSwapAndForward:
 
     def test_content_correct_with_random_labels(self):
         rng = np.random.default_rng(2)
-        labels1 = [BellLabel.from_index(int(i)) for i in rng.integers(0, 4, 4)]
-        labels2 = [BellLabel.from_index(int(i)) for i in rng.integers(0, 4, 4)]
+        labels1 = [int(i) for i in rng.integers(0, 4, 4)]
+        labels2 = [int(i) for i in rng.integers(0, 4, 4)]
         config = AttackConfig(
             strategy="swap_and_forward",
             delta=0.3,
-            preshared_label=BellLabel(1, 1),
+            preshared_label=0b11,
             protocol=ProtocolConfig(n=4, bell_labels_v1=labels1, bell_labels_v2=labels2),
         )
         outcome = run_attack(config, seed=9, diagnostic=True)

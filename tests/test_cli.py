@@ -5,8 +5,15 @@ import json
 import pytest
 
 from qpv import quantum, selftest
+from qpv.adversary import AttackConfig, run_attack
 from qpv.cli import main
-from qpv.quantum import PauliFrame
+from qpv.protocol import REASON_TIMING, REASON_V1, ProtocolConfig, run_honest
+
+
+def _swap_label_bits_swapped(shared1, shared2, outcome):
+    """A broken ``swap_label``: the right label with its two bits exchanged."""
+    label = shared1 ^ shared2 ^ outcome
+    return (label & 1) << 1 | label >> 1
 
 
 class TestRun:
@@ -163,9 +170,32 @@ class TestSelftest:
         # negative control: corrupt the live correction table and the
         # selftest must fail
         def broken(shared, outcome):
-            return PauliFrame(0, 0)
+            return 0
 
         monkeypatch.setattr(quantum, "pauli_frame_from", broken)
         failures = selftest.check_frame_table()
         assert failures
         assert selftest.run_selftest(["frame"], report=lambda line: None) is False
+
+    def test_frame_fault_reaches_the_verdict(self, monkeypatch):
+        # both verifiers' checks call the function the selftest checks
+        config = ProtocolConfig(n=4, bell_labels_v1=[1, 2, 3, 1])
+        assert run_honest(config, 0)[0].accepted
+        monkeypatch.setattr(quantum, "pauli_frame_from", lambda shared, outcome: 0)
+        assert selftest.check_frame_table()
+        assert selftest.check_reduction()  # V2's check, judged with V1's side unaffected
+        assert run_honest(config, 0)[0].reason == REASON_V1
+
+    def test_swap_fault_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(quantum, "swap_label", _swap_label_bits_swapped)
+        lines = []
+        assert selftest.run_selftest(["swap"], report=lines.append) is False
+        assert lines[0].startswith("[FAIL] swap")
+
+    def test_swap_fault_reaches_the_verdict(self, monkeypatch):
+        # the swap colluders correct their responses with the function the selftest checks
+        config = AttackConfig(strategy="swap_and_forward", protocol=ProtocolConfig(n=4))
+        assert run_attack(config, 0, diagnostic=True).verdict.accepted
+        monkeypatch.setattr(quantum, "swap_label", _swap_label_bits_swapped)
+        verdict = run_attack(config, 0, diagnostic=True).verdict
+        assert not verdict.accepted and verdict.reason != REASON_TIMING

@@ -3,7 +3,8 @@
 ``_loop_judge`` below is a frozen copy of the earlier verdict path: a Python
 loop over pairs that checks each one through dataclass Pauli frames and
 filters arrivals against the deadline plus a 1e-12 tolerance. It is kept only
-as the reference for this test. Every per-pair input is enumerated (challenge,
+as the reference for this test, together with the label, outcome and frame
+dataclasses it was written against. Every per-pair input is enumerated (challenge,
 both Bell labels, w', both report copies, both announcement copies, V2's
 bit) under all 16 usable/late combinations of the four material arrival
 times, for both variants and both duplicate policies, as one trial, as
@@ -13,6 +14,7 @@ four-pair trials and as one trial per pair.
 import dataclasses
 import itertools
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -33,9 +35,70 @@ from qpv.protocol import (
     deadline,
     judge,
 )
-from qpv.quantum import BellLabel, BsmOutcome, PauliFrame
 
 # -- frozen reference ---------------------------------------------------------
+
+
+def _check_bit(value: int, name: str) -> None:
+    if value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+
+
+@dataclass(frozen=True)
+class BellLabel:
+    """2-bit label (a, b) of a Bell state."""
+
+    a: int
+    b: int
+
+    def __post_init__(self) -> None:
+        _check_bit(self.a, "a")
+        _check_bit(self.b, "b")
+
+    @property
+    def index(self) -> int:
+        return 2 * self.a + self.b
+
+    @classmethod
+    def from_index(cls, index: int) -> "BellLabel":
+        if not 0 <= index <= 3:
+            raise ValueError(f"Bell label index must be in 0..3, got {index}")
+        return cls((index >> 1) & 1, index & 1)
+
+
+@dataclass(frozen=True)
+class BsmOutcome:
+    """2-bit result of a Bell state measurement, same (a, b) convention as BellLabel."""
+
+    first: int
+    second: int
+
+    def __post_init__(self) -> None:
+        _check_bit(self.first, "first")
+        _check_bit(self.second, "second")
+
+    @property
+    def index(self) -> int:
+        return 2 * self.first + self.second
+
+    @classmethod
+    def from_index(cls, index: int) -> "BsmOutcome":
+        if not 0 <= index <= 3:
+            raise ValueError(f"BSM outcome index must be in 0..3, got {index}")
+        return cls((index >> 1) & 1, index & 1)
+
+
+@dataclass(frozen=True)
+class PauliFrame:
+    """Exponents (k, k') of the correction sigma_z^k sigma_x^k'."""
+
+    k: int
+    k_prime: int
+
+    def __post_init__(self) -> None:
+        _check_bit(self.k, "k")
+        _check_bit(self.k_prime, "k_prime")
+
 
 _TIME_EPS = 1e-12
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qpv import oracles
 from qpv.protocol import (
     MaterialStore,
     ProtocolConfig,
@@ -15,23 +16,22 @@ from qpv.protocol import (
     REASON_V2,
     VARIANT_SINGLE_BIT,
     VARIANT_TWO_BIT,
+    announcement,
     deadline,
     judge,
-    reduce_announcement,
     run_honest,
     transcripts_to_json,
-    verify_v1,
-    verify_v2,
 )
-from qpv.quantum import BellLabel, BsmOutcome, pauli_frame_from
 from qpv.spacetime import format_event_log
-
-ALL_LABELS = [BellLabel.from_index(i) for i in range(4)]
-ALL_OUTCOMES = [BsmOutcome.from_index(i) for i in range(4)]
 
 
 def random_labels(rng, n):
-    return [BellLabel.from_index(int(i)) for i in rng.integers(0, 4, size=n)]
+    return [int(i) for i in rng.integers(0, 4, size=n)]
+
+
+def oracle_k(shared, outcome):
+    """Phase-flip exponent of each (shared, outcome) from the independent frame table."""
+    return np.array([oracles.frame_oracle(s, o)[0] for s, o in np.broadcast(shared, outcome)])
 
 
 class TestConfig:
@@ -47,6 +47,10 @@ class TestConfig:
             (dict(deadline_slack=-1.0), "slack"),
             (dict(n=2, challenge_states=[0]), "length"),
             (dict(n=1, challenge_states=[2]), "bits"),
+            (dict(n=1, bell_labels_v1=[5]), "bell_labels_v1"),
+            (dict(n=2, bell_labels_v2=[0, -1]), "bell_labels_v2"),
+            (dict(n=1, bell_labels_v1=[1.0]), "bell_labels_v1"),
+            (dict(n=1, bell_labels_v2=["1"]), "bell_labels_v2"),
         ],
     )
     def test_invalid(self, kwargs, match):
@@ -88,42 +92,34 @@ class TestDeadline:
 
 
 class TestVerifyV1:
-    def test_identity_frame(self):
-        assert verify_v1(0, 0, BsmOutcome(0, 0), BellLabel(0, 0)) is True
+    def test_identity_frame(self, judge_slots):
+        assert judge_slots(0, psi=0, w=0b00, l1=0b00)[0].accepted is True
 
-    def test_phase_flip_expected(self):
-        assert verify_v1(0, 0, BsmOutcome(1, 0), BellLabel(0, 0)) is False
+    def test_phase_flip_expected(self, judge_slots):
+        assert judge_slots(0, psi=0, w=0b10, l1=0b00)[0].reason == REASON_V1
 
-    def test_double_flip_cancels(self):
+    def test_double_flip_cancels(self, judge_slots):
         # psi = -, shared (1,0), outcome (0,1): k = 1 flips - back to +
-        assert verify_v1(1, 0, BsmOutcome(0, 1), BellLabel(1, 0)) is True
+        assert judge_slots(0, psi=1, w=0b01, l1=0b10)[0].accepted is True
 
-    def test_matches_frame_everywhere(self):
-        for shared in ALL_LABELS:
-            for outcome in ALL_OUTCOMES:
-                k = pauli_frame_from(shared, outcome).k
-                for psi in (0, 1):
-                    assert verify_v1(psi, psi ^ k, outcome, shared)
-                    assert not verify_v1(psi, psi ^ k ^ 1, outcome, shared)
+    def test_matches_frame_everywhere(self, judge_slots):
+        shared, outcome, psi = np.array(list(np.ndindex(4, 4, 2))).T
+        k = oracle_k(shared, outcome)
+        consistent = judge_slots(psi ^ k, psi=psi, w=outcome, l1=shared)
+        flipped = judge_slots(psi ^ k ^ 1, psi=psi, w=outcome, l1=shared)
+        assert all(v.accepted for v in consistent)
+        assert all(v.reason == REASON_V1 for v in flipped)
 
 
 class TestVerifyV2:
-    def test_identity_frame(self):
-        assert verify_v2(0, BsmOutcome(0, 0), 0, BellLabel(0, 0), VARIANT_TWO_BIT) is True
+    def test_identity_frame(self, judge_slots):
+        assert judge_slots(0, ann=0b00, measured=0, l2=0b00)[0].accepted is True
 
-    def test_expected_flip_missing(self):
-        assert verify_v2(0, BsmOutcome(1, 1), 0, BellLabel(0, 0), VARIANT_TWO_BIT) is False
+    def test_expected_flip_missing(self, judge_slots):
+        assert judge_slots(0, ann=0b11, measured=0, l2=0b00)[0].reason == REASON_V2
 
-    def test_single_bit_variant(self):
-        assert verify_v2(0, 1, 1, BellLabel(0, 1), VARIANT_SINGLE_BIT) is True
-
-    def test_malformed_announcements(self):
-        with pytest.raises(ValueError, match="two_bit"):
-            verify_v2(0, 1, 0, BellLabel(0, 0), VARIANT_TWO_BIT)
-        with pytest.raises(ValueError, match="single_bit"):
-            verify_v2(0, BsmOutcome(0, 0), 0, BellLabel(0, 0), VARIANT_SINGLE_BIT)
-        with pytest.raises(ValueError, match="variant"):
-            verify_v2(0, 1, 0, BellLabel(0, 0), "other")
+    def test_single_bit_variant(self, judge_slots):
+        assert judge_slots(0, ann=1, measured=1, l2=0b01, variant=VARIANT_SINGLE_BIT)[0].accepted is True
 
 
 class TestReduceAnnouncement:
@@ -136,23 +132,21 @@ class TestReduceAnnouncement:
         ],
     )
     def test_examples(self, shared, pp, expected):
-        assert reduce_announcement(BsmOutcome(*pp), BellLabel(*shared)) == expected
+        assert announcement(2 * pp[0] + pp[1], VARIANT_SINGLE_BIT) == expected
+        assert announcement(2 * pp[0] + pp[1], VARIANT_TWO_BIT) == 2 * pp[0] + pp[1]
 
     def test_reconstructs_phase_exponent_everywhere(self):
-        for shared in ALL_LABELS:
-            for pp in ALL_OUTCOMES:
-                bit = reduce_announcement(pp, shared)
-                assert (shared.a ^ bit) == pauli_frame_from(shared, pp).k
+        shared, pp = np.array(list(np.ndindex(4, 4))).T
+        bit = announcement(pp, VARIANT_SINGLE_BIT)
+        np.testing.assert_array_equal((shared >> 1) ^ bit, oracle_k(shared, pp))
 
-    def test_variants_agree_everywhere(self):
-        for shared in ALL_LABELS:
-            for pp in ALL_OUTCOMES:
-                bit = reduce_announcement(pp, shared)
-                for reported in (0, 1):
-                    for measured in (0, 1):
-                        assert verify_v2(reported, pp, measured, shared, VARIANT_TWO_BIT) == verify_v2(
-                            reported, bit, measured, shared, VARIANT_SINGLE_BIT
-                        )
+    def test_variants_agree_everywhere(self, judge_slots):
+        shared, pp, reported, measured = np.array(list(np.ndindex(4, 4, 2, 2))).T
+        full = judge_slots(reported, ann=pp, measured=measured, l2=shared, variant=VARIANT_TWO_BIT)
+        single = judge_slots(reported, ann=announcement(pp, VARIANT_SINGLE_BIT), measured=measured, l2=shared,
+                             variant=VARIANT_SINGLE_BIT)
+        assert [v.accepted for v in full] == [v.accepted for v in single]
+        assert [v.accepted for v in full] == list(measured == reported ^ oracle_k(shared, pp))
 
 
 class TestRunHonest:
@@ -194,23 +188,20 @@ class TestRunHonest:
         verdict, _, _ = run_honest(config, seed=1)
         assert verdict.accepted
 
-    def test_variant_equivalence_on_transcripts(self):
+    def test_variant_equivalence_on_transcripts(self, judge_slots):
         # two-bit transcripts re-checked under the single-bit reduction
         rng = np.random.default_rng(8)
+        rows = []
         for seed in range(200):
             config = ProtocolConfig(n=2, bell_labels_v2=random_labels(rng, 2))
             _, transcripts, _ = run_honest(config, seed=seed)
-            for i, t in enumerate(transcripts):
-                shared = config.bell_labels_v2[i]
-                full = verify_v2(t.prover_state_report, t.pp_prime, t.v2_outcome, shared, VARIANT_TWO_BIT)
-                reduced = verify_v2(
-                    t.prover_state_report,
-                    reduce_announcement(t.pp_prime, shared),
-                    t.v2_outcome,
-                    shared,
-                    VARIANT_SINGLE_BIT,
-                )
-                assert full is True and reduced is True
+            rows += [(t.prover_state_report, t.pp_prime, t.v2_outcome, shared)
+                     for t, shared in zip(transcripts, config.bell_labels_v2)]
+        reported, pp, measured, shared = np.array(rows).T
+        full = judge_slots(reported, ann=pp, measured=measured, l2=shared, variant=VARIANT_TWO_BIT)
+        reduced = judge_slots(reported, ann=announcement(pp, VARIANT_SINGLE_BIT), measured=measured, l2=shared,
+                              variant=VARIANT_SINGLE_BIT)
+        assert all(v.accepted for v in full) and all(v.accepted for v in reduced)
 
     def test_pooling_happens_at_deadline(self):
         config = ProtocolConfig(n=1, x=2.5)
