@@ -57,6 +57,10 @@ class AttackConfig:
             raise ValueError(f"delta={self.delta} is below the float resolution ulp(2x) at x={self.protocol.x}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        pairs = self.preshared_pairs
+        if pairs is not None and not (isinstance(pairs, (int, np.integer)) and not isinstance(pairs, bool)
+                                      and pairs >= 0):
+            raise ValueError(f"preshared_pairs must be None or an int >= 0, got {pairs!r}")
         if not quantum.is_label(self.preshared_label):
             raise ValueError(f"preshared_label must be an int in 0..3 (2a + b), got {self.preshared_label!r}")
 

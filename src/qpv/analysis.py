@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -183,37 +184,72 @@ def _make_row(spec: ExperimentSpec, n: int, accepted: int) -> ResultRow:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run the full grid; deterministic given the spec and master seed.
 
-    ``workers`` > 1 fans the whole grid out to one process pool, each n's
-    trials split into one strided shard per worker; identical results either
-    way because every trial owns a derived key and only counts are
+    ``workers`` > 1 splits each n's trials into ``min(workers, trials, CPU
+    count)`` strided shards. The caller runs shard 0 itself while one process
+    per other shard runs that shard and sends back its counts; an exception
+    in a shard process is raised in the caller. Results are identical either
+    way, because every trial owns a derived key and only counts are
     aggregated.
     """
     spec.validate()
-    shards = workers if workers and workers > 1 else 1
-    indices = np.arange(spec.trials)
-    tasks = []  # (row, _batch_worker arguments)
-    for row, n in enumerate(spec.n_values):
-        keys = trial_keys(spec.master_seed, spec.scenario, n, indices)
-        tasks += [(row, (spec.scenario, n, keys[i::shards], spec.x, spec.delta, spec.rounds, spec.variant))
-                  for i in range(min(shards, spec.trials))]
-    if shards > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=shards) as pool:
-            counts = pool.starmap(_batch_worker, [args for _, args in tasks])
-    else:
-        counts = [_batch_worker(*args) for _, args in tasks]
-    accepted = [0] * len(spec.n_values)
-    for (row, _), count in zip(tasks, counts):
-        accepted[row] += count
+    shards = max(1, min(workers or 1, spec.trials, os.cpu_count() or 1))
+    helpers = []
+    try:
+        for shard in range(1, shards):
+            helpers.append(_start_shard(spec, shard, shards))
+        counts = [_shard_counts(spec, 0, shards), *(_received(*helper) for helper in helpers)]
+    finally:
+        for process, receiver in helpers:
+            receiver.close()
+            process.terminate()  # a shard that sent its counts is done; this stops one left running by an error
+            process.join()
     result = ExperimentResult(spec=spec)
-    result.rows = [_make_row(spec, n, int(total)) for n, total in zip(spec.n_values, accepted)]
+    result.rows = [_make_row(spec, n, int(total)) for n, total in zip(spec.n_values, np.sum(counts, axis=0))]
     return result
 
 
-def _batch_worker(scenario: str, n: int, seeds: Sequence[int], x: float, delta: float,
-                  rounds: int, variant: str) -> int:
-    return run_trial_batch(scenario, n, seeds, x=x, delta=delta, rounds=rounds, variant=variant)
+def _shard_counts(spec: ExperimentSpec, shard: int, shards: int) -> list[int]:
+    """Accepted-trial count per n over trials ``shard``, ``shard + shards``, ... of each row."""
+    indices = np.arange(shard, spec.trials, shards)
+    return [run_trial_batch(spec.scenario, n, trial_keys(spec.master_seed, spec.scenario, n, indices),
+                            x=spec.x, delta=spec.delta, rounds=spec.rounds, variant=spec.variant)
+            for n in spec.n_values]
+
+
+def _start_shard(spec: ExperimentSpec, shard: int, shards: int):
+    """A started process running one shard, and the receiving end of the pipe it answers on.
+
+    A process and a pipe, not a ``multiprocessing.Pool``: a pool's start-up and
+    teardown take about 10 ms, a sizeable share of a grid that runs in 100 ms.
+    """
+    import multiprocessing
+
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    process = multiprocessing.Process(target=_send_shard, args=(sender, spec, shard, shards), daemon=True)
+    process.start()
+    sender.close()
+    return process, receiver
+
+
+def _send_shard(sender, spec: ExperimentSpec, shard: int, shards: int) -> None:
+    """Body of a shard process: send the shard's counts, or the exception that stopped it."""
+    try:
+        sender.send(_shard_counts(spec, shard, shards))
+    except Exception as exc:
+        sender.send(exc)
+    finally:
+        sender.close()
+
+
+def _received(process, receiver) -> list[int]:
+    """The counts a shard process sent; raises the exception it sent instead."""
+    try:
+        counts = receiver.recv()
+    except EOFError:
+        raise RuntimeError(f"shard process {process.pid} exited without sending its counts") from None
+    if isinstance(counts, Exception):
+        raise counts
+    return counts
 
 
 def _fmt(value: float) -> str:
@@ -276,10 +312,6 @@ def write_report(result: ExperimentResult, path: str, fmt: str = "json") -> str:
     return path
 
 
-def _rows_from_counts(spec: ExperimentSpec, counts: Sequence[tuple[int, int]]) -> list[ResultRow]:
-    return [_make_row(spec, n, accepted) for n, accepted in counts]
-
-
 def parse_report(text: str, fmt: str = "json") -> ExperimentResult:
     """Rebuild an ExperimentResult from report text.
 
@@ -317,5 +349,5 @@ def parse_report(text: str, fmt: str = "json") -> ExperimentResult:
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     result = ExperimentResult(spec=spec)
-    result.rows = _rows_from_counts(spec, counts)
+    result.rows = [_make_row(spec, n, accepted) for n, accepted in counts]
     return result

@@ -1,7 +1,9 @@
 """Command-line entry point: honest runs, attack runs, Monte Carlo, selftest.
 
 Flags override values from an optional JSON config file whose keys mirror the
-config dataclass fields. Every subcommand is deterministic under a fixed seed.
+config dataclass fields. Config values are checked, not coerced: an int must be
+a JSON integer, a flag a JSON boolean, and an unknown key is an error (exit 2).
+Every subcommand is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -20,18 +22,42 @@ from .spacetime import format_event_log
 _BIT_GLYPH = {0: "+", 1: "-", None: "?"}
 
 
-def _norm(name: str | None) -> str | None:
-    return name.replace("-", "_") if isinstance(name, str) else name
+_RUN_KEYS = ("n", "x", "variant", "deadline_slack", "strict_duplicates", "seed")
+_ATTACK_KEYS = (*_RUN_KEYS, "strategy", "delta", "rounds", "preshared_pairs")
+_MONTECARLO_KEYS = ("scenario", "n", "trials", "seed", "x", "delta", "rounds", "variant", "workers", "format", "out")
+_KINDS = {int: "an int", float: "a number", bool: "a JSON boolean", str: "a string"}
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, known: tuple[str, ...]) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; known: {', '.join(known)}")
     return data
+
+
+def _typed(name: str, value, kind: type):
+    """``value`` if it has JSON type ``kind``, else ValueError naming the key ``name``.
+
+    A bool is neither an int nor a number here; a number is returned as a float.
+    """
+    if kind is bool:
+        valid = isinstance(value, bool)
+    else:
+        valid = isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+    if not valid:
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _name(settings: dict, key: str, default: str) -> str:
+    """The string setting ``key`` (or ``default``), with dashes read as underscores."""
+    return _typed(key, settings.get(key, default), str).replace("-", "_")
 
 
 def _merged(args: argparse.Namespace, file_keys: dict, flag_names: list[str]) -> dict:
@@ -46,11 +72,11 @@ def _merged(args: argparse.Namespace, file_keys: dict, flag_names: list[str]) ->
 
 def _protocol_config(settings: dict) -> ProtocolConfig:
     return ProtocolConfig(
-        n=int(settings.get("n", 4)),
-        x=float(settings.get("x", 1.0)),
-        variant=_norm(settings.get("variant", "two_bit")),
-        deadline_slack=float(settings.get("deadline_slack", 0.0)),
-        strict_duplicates=bool(settings.get("strict_duplicates", False)),
+        n=_typed("n", settings.get("n", 4), int),
+        x=_typed("x", settings.get("x", 1.0), float),
+        variant=_name(settings, "variant", "two_bit"),
+        deadline_slack=_typed("deadline_slack", settings.get("deadline_slack", 0.0), float),
+        strict_duplicates=_typed("strict_duplicates", settings.get("strict_duplicates", False), bool),
     )
 
 
@@ -68,10 +94,10 @@ def _print_transcripts(transcripts) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings = _merged(args, _load_config_file(args.config), ["n", "x", "variant", "deadline_slack", "seed"])
+    settings = _merged(args, _load_config_file(args.config, _RUN_KEYS), ["n", "x", "variant", "deadline_slack", "seed"])
     config = _protocol_config(settings)
     config.validate()
-    seed = int(settings.get("seed", 0))
+    seed = _typed("seed", settings.get("seed", 0), int)
     verdict, transcripts, events = run_honest(config, seed)
     print(f"honest run: n={config.n} x={config.x} variant={config.variant} seed={seed}")
     _print_transcripts(transcripts)
@@ -87,18 +113,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     settings = _merged(
         args,
-        _load_config_file(args.config),
+        _load_config_file(args.config, _ATTACK_KEYS),
         ["n", "x", "variant", "deadline_slack", "seed", "strategy", "delta", "rounds", "preshared_pairs"],
     )
     config = AttackConfig(
-        strategy=_norm(settings.get("strategy", "guess")),
-        delta=float(settings.get("delta", 0.1)),
-        rounds=int(settings.get("rounds", 1)),
+        strategy=_name(settings, "strategy", "guess"),
+        delta=_typed("delta", settings.get("delta", 0.1), float),
+        rounds=_typed("rounds", settings.get("rounds", 1), int),
         preshared_pairs=settings.get("preshared_pairs"),
         protocol=_protocol_config(settings),
     )
     config.validate()
-    seed = int(settings.get("seed", 0))
+    seed = _typed("seed", settings.get("seed", 0), int)
     outcome = run_attack(config, seed, diagnostic=args.diagnostic)
     print(f"attack run: strategy={config.strategy} n={config.protocol.n} x={config.protocol.x} "
           f"delta={config.delta} seed={seed}{' (diagnostic: timing check disabled)' if args.diagnostic else ''}")
@@ -116,30 +142,30 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     settings = _merged(
         args,
-        _load_config_file(args.config),
-        ["scenario", "n", "trials", "seed", "x", "delta", "rounds", "variant", "workers", "format", "out"],
+        _load_config_file(args.config, _MONTECARLO_KEYS),
+        _MONTECARLO_KEYS,
     )
     n_raw = settings.get("n", "1,2,4,8")
     if isinstance(n_raw, str):
         n_values = tuple(int(part) for part in n_raw.split(","))
+    elif isinstance(n_raw, list):
+        n_values = tuple(_typed("n", v, int) for v in n_raw)
     else:
-        n_values = tuple(int(v) for v in n_raw)
+        raise ValueError(f"n must be a list of ints or a comma-separated string, got {n_raw!r}")
     spec = ExperimentSpec(
-        scenario=_norm(settings.get("scenario", "guess")),
+        scenario=_name(settings, "scenario", "guess"),
         n_values=n_values,
-        trials=int(settings.get("trials", 10_000)),
-        master_seed=int(settings.get("seed", 0)),
-        x=float(settings.get("x", 1.0)),
-        delta=float(settings.get("delta", 0.1)),
-        rounds=int(settings.get("rounds", 1)),
-        variant=_norm(settings.get("variant", "two_bit")),
+        trials=_typed("trials", settings.get("trials", 10_000), int),
+        master_seed=_typed("seed", settings.get("seed", 0), int),
+        x=_typed("x", settings.get("x", 1.0), float),
+        delta=_typed("delta", settings.get("delta", 0.1), float),
+        rounds=_typed("rounds", settings.get("rounds", 1), int),
+        variant=_name(settings, "variant", "two_bit"),
     )
     spec.validate()
-    workers = settings.get("workers")
-    workers = int(workers) if workers is not None else (os.cpu_count() or 1)
-    result = run_experiment(spec, workers=workers)
-    fmt = settings.get("format", "json")
-    out = settings.get("out", f"qpv_report.{fmt}")
+    result = run_experiment(spec, workers=_typed("workers", settings.get("workers", os.cpu_count() or 1), int))
+    fmt = _typed("format", settings.get("format", "json"), str)
+    out = _typed("out", settings.get("out", f"qpv_report.{fmt}"), str)
     write_report(result, out, fmt)
     print(render_csv(result).rstrip("\n"))
     print(f"report written to {out}")
@@ -197,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc_p.add_argument("--delta", type=float)
     mc_p.add_argument("--rounds", type=int)
     mc_p.add_argument("--variant", choices=["two-bit", "single-bit", "two_bit", "single_bit"])
-    mc_p.add_argument("--workers", type=int, help="worker processes (default: CPU count)")
+    mc_p.add_argument("--workers", type=int, help="worker processes, at most the CPU count (default: CPU count)")
     mc_p.add_argument("--format", choices=["json", "csv"], help="report format (default json)")
     mc_p.add_argument("--out", help="report path (default qpv_report.<fmt>)")
     mc_p.set_defaults(func=cmd_montecarlo)

@@ -4,6 +4,16 @@ One engine, :class:`BatchRegister`, holds many independent registers as rows
 (a single register is the one-row case); the Bell/Pauli bookkeeping the
 verifiers need is XOR on 2-bit labels (``pauli_frame_from``, ``swap_label``).
 
+Layout: amplitudes are stored batch-last, one contiguous ``(2**live, rows)``
+complex array over the live qubits. A measurement moves its qubits' axes to
+the front and applies the real basis matrix as one float64 GEMM on the float
+view. The measured qubits are then in a known basis state in every row, so
+they are factored out of the live array and kept as ``(qubits, basis,
+outcomes)``; touching one again (a re-measurement, ``apply_frame``,
+``reduced_state``) multiplies its group back in. ``BatchRegister.states``
+gives the dense ``(rows, 2**num_qubits)`` state in handle order, for tests
+and oracles: a view while no qubit is factored out, else a product copy.
+
 Conventions, fixed once and used everywhere:
 
 * Basis index = big-endian bit string of qubit indices: qubit 0 is the most
@@ -68,14 +78,6 @@ BELL_MATRIX = SQRT_HALF * np.array([
 
 HADAMARD_BASIS = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
 
-# Row 2k + k' = sigma_z^k sigma_x^k' (bit flip first, then phase flip).
-FRAME_MATRICES = np.array([
-    [[1.0, 0.0], [0.0, 1.0]],
-    [[0.0, 1.0], [1.0, 0.0]],
-    [[1.0, 0.0], [0.0, -1.0]],
-    [[0.0, 1.0], [-1.0, 0.0]],
-])
-
 
 def is_label(value) -> bool:
     """True for an int in 0..3, the 2a + b form of a Bell label, BSM outcome or Pauli frame."""
@@ -119,6 +121,28 @@ def _pick_rows(probs: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.
     return np.argmax(cum > target, axis=1), probs / total
 
 
+def _joined(amps: np.ndarray, live: list[int], groups) -> tuple[np.ndarray, list[int]]:
+    """``amps`` over the qubits ``live`` with each factored ``(qubits, basis, outcomes)`` group multiplied in.
+
+    Returns the product amplitudes, batch-last, and their qubits in ascending order.
+    """
+    axes = list(live)
+    for qubits, basis, outcomes in groups:
+        amps = (basis.T[:, outcomes][:, None, :] * amps[None, :, :]).reshape(-1, amps.shape[-1])
+        axes = [*qubits, *axes]
+    order = [*np.argsort(axes), len(axes)]
+    tensor = amps.reshape([2] * len(axes) + [-1]).transpose(order)
+    return np.ascontiguousarray(tensor).reshape(-1, amps.shape[-1]), sorted(axes)
+
+
+def _leading(amps: np.ndarray, live: list[int], qubits: list[int]) -> np.ndarray:
+    """``amps`` with the axes of ``qubits`` moved to the front, as a contiguous (2**len(qubits), -1) array."""
+    lead = [live.index(q) for q in qubits]
+    order = [*lead, *(axis for axis in range(len(live)) if axis not in lead), len(live)]
+    tensor = amps.reshape([2] * len(live) + [-1]).transpose(order)
+    return np.ascontiguousarray(tensor).reshape(2 ** len(qubits), -1)
+
+
 class BatchRegister:
     """Statevector simulation of many independent, identically laid-out registers.
 
@@ -127,19 +151,49 @@ class BatchRegister:
     Monte Carlo trial costs a fixed number of array operations regardless of
     the pair count. A single register is the one-row case. Measurements check
     quantum locality: a qubit in transit cannot be touched, and when ``by`` is
-    given, only its owner may measure it.
+    given, only its owner may measure it. The amplitude layout and the
+    factoring of measured qubits are described in the module docstring.
     """
 
     def __init__(self, batch_size: int, max_qubits: int = DEFAULT_MAX_QUBITS):
         self.batch_size = batch_size
         self.max_qubits = max_qubits
-        self.states: np.ndarray | None = None  # (batch, 2**num_qubits)
         self.handles: list[QubitHandle] = []
+        self._amps: np.ndarray | None = None  # (2**len(_live), batch), C-contiguous
+        self._live: list[int] = []  # qubit index of each leading axis of _amps, ascending
+        self._factored: dict[int, tuple] = {}  # qubit -> its group (qubits, basis, outcomes)
         self._rows = np.arange(batch_size)
 
     @property
     def num_qubits(self) -> int:
         return len(self.handles)
+
+    @property
+    def states(self) -> np.ndarray | None:
+        """Dense row states, (batch, 2**num_qubits) in handle order; None before the first qubit.
+
+        A view of the amplitudes while no qubit is factored out, else a product copy.
+        """
+        if self._amps is None:
+            return None
+        return self._expanded(self._factored)[0].T
+
+    def _expanded(self, qubits) -> tuple[np.ndarray, list[int], list[int]]:
+        """Amplitudes and live qubits with the groups holding ``qubits`` multiplied back in.
+
+        Also returns the qubits so restored. Leaves the register as it is: a
+        caller that succeeds stores the result with ``_store``.
+        """
+        groups = {id(group): group for group in map(self._factored.get, qubits) if group is not None}
+        if not groups:
+            return self._amps, self._live, []
+        amps, live = _joined(self._amps, self._live, groups.values())
+        return amps, live, [q for group in groups.values() for q in group[0]]
+
+    def _store(self, amps: np.ndarray, live: list[int], restored: list[int]) -> None:
+        for q in restored:
+            del self._factored[q]
+        self._amps, self._live = amps, live
 
     def _grow(self, block: np.ndarray, count: int, owners: Sequence[object]) -> list[QubitHandle]:
         if self.num_qubits + count > self.max_qubits:
@@ -150,12 +204,13 @@ class BatchRegister:
         norms = np.einsum("bi,bi->b", block.conj(), block).real
         if np.abs(norms - 1.0).max() > ATOL:
             raise ValueError("appended block is not normalized")
-        if self.states is None:
-            self.states = np.ascontiguousarray(block, dtype=complex)
+        if self._amps is None:
+            self._amps = np.ascontiguousarray(block.T, dtype=complex)
         else:
-            self.states = np.einsum("bi,bj->bij", self.states, block).reshape(self.batch_size, -1)
+            self._amps = (self._amps[:, None, :] * np.ascontiguousarray(block.T)).reshape(-1, self.batch_size)
         new = [QubitHandle(index=self.num_qubits + i, owner=owners[i]) for i in range(count)]
         self.handles.extend(new)
+        self._live.extend(handle.index for handle in new)
         return new
 
     def append_qubit(self, amplitudes: np.ndarray, owner: object = None) -> QubitHandle:
@@ -184,44 +239,40 @@ class BatchRegister:
         if by is not None and handle.owner != by:
             raise OwnershipError(f"qubit {handle.index} is owned by {handle.owner!r}, not {by!r}")
 
-    def _matrixed(self, qubits: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
-        """Rows as (batch, 2**len(qubits), rest) matrices with ``qubits`` leading, and the axis order used."""
-        n = self.num_qubits
-        order = [0, *(1 + q for q in qubits), *(1 + q for q in range(n) if q not in qubits)]
-        tensor = self.states.reshape([self.batch_size] + [2] * n).transpose(order)
-        return tensor.reshape(self.batch_size, 2 ** len(qubits), -1), order
-
-    def _restore(self, mats: np.ndarray, order: list[int]) -> None:
-        """Store matrices laid out by ``_matrixed(...)`` back as the row states."""
-        tensor = mats.reshape([self.batch_size] + [2] * self.num_qubits)
-        self.states = tensor.transpose(np.argsort(order)).reshape(self.batch_size, -1)
-
     def _measure(self, basis: np.ndarray, handles: tuple[QubitHandle, ...], by: object,
                  uniforms: np.ndarray | None = None, outcomes: np.ndarray | None = None):
         """Measure ``handles`` in the orthonormal real ``basis`` (one row per outcome) and collapse.
 
         Samples each row's outcome from ``uniforms``, or forces ``outcomes``
         (InvalidTargetError when a forced outcome has probability <= ATOL).
-        Returns the outcomes and their probabilities (renormalized when sampled).
+        The measured qubits are factored out. Returns the outcomes and their
+        probabilities (renormalized when sampled).
         """
         for handle in handles:
             self._check_access(handle, by)
         if len(handles) == 2 and handles[0].index == handles[1].index:
             raise InvalidTargetError("measurement targets must be distinct qubits")
-        mats, order = self._matrixed(tuple(h.index for h in handles))
-        amps = np.matmul(basis, mats)
-        probs = (amps.real * amps.real + amps.imag * amps.imag).sum(axis=2)
+        qubits = [handle.index for handle in handles]
+        amps, live, restored = self._expanded(qubits)
+        # A real basis acts on real and imaginary parts alike: one float GEMM on the float view.
+        mats = _leading(amps, live, qubits).view(np.float64)
+        projected = (basis @ mats).view(complex).reshape(len(basis), -1, self.batch_size)
+        probs = (projected.real * projected.real + projected.imag * projected.imag).sum(axis=1)
         rows = self._rows
         if outcomes is None:
-            outcomes, probs = _pick_rows(probs, uniforms)
+            outcomes, probs = _pick_rows(probs.T, uniforms)
             picked = probs[rows, outcomes]
         else:
             outcomes = np.asarray(outcomes, dtype=np.intp)
-            picked = probs[rows, outcomes]
+            picked = probs[outcomes, rows]
             if (picked <= ATOL).any():
                 raise InvalidTargetError("projection onto a forced outcome has zero probability")
-        chosen = amps[rows, outcomes, :] / np.sqrt(picked)[:, None]
-        self._restore(basis[outcomes][:, :, None] * chosen[:, None, :], order)
+        chosen = np.take_along_axis(projected, outcomes[None, None, :], axis=0)[0]
+        # numpy divides a complex by a real as a product with its reciprocal: the same values, faster
+        self._store(chosen * (1.0 / np.sqrt(picked)), [q for q in live if q not in qubits], restored)
+        group = (tuple(qubits), basis, outcomes.copy())  # the caller may change the returned outcomes
+        for q in qubits:
+            self._factored[q] = group
         return outcomes, picked
 
     def bsm(self, h1: QubitHandle, h2: QubitHandle, uniforms: np.ndarray, by: object = None) -> np.ndarray:
@@ -249,9 +300,11 @@ class BatchRegister:
         k, k_prime = np.asarray(k, dtype=np.intp), np.asarray(k_prime, dtype=np.intp)
         if ((k | k_prime) & ~1).any():
             raise ValueError("frame exponents k and k_prime must be 0 or 1")
-        frames = FRAME_MATRICES[2 * k + k_prime]
-        mats, order = self._matrixed((handle.index,))
-        self._restore(np.matmul(frames, mats), order)
+        amps, live, restored = self._expanded([handle.index])
+        axis = live.index(handle.index)
+        zero, one = np.moveaxis(amps.reshape([2] * len(live) + [-1]), axis, 0)
+        zero, one = np.where(k_prime, one, zero), np.where(k_prime, zero, one)
+        self._store(np.stack([zero, np.where(k, -one, one)], axis=axis).reshape(amps.shape), live, restored)
 
     def reduced_state(self, handle: QubitHandle) -> np.ndarray:
         """Each row's pure state of one qubit, (batch, 2), defined up to phase.
@@ -259,7 +312,8 @@ class BatchRegister:
         Raises NotProductError when the qubit is entangled with the rest of a
         row (second Schmidt value above ``ATOL``).
         """
-        mats, _ = self._matrixed((handle.index,))
+        amps, live, _ = self._expanded([handle.index])
+        mats = _leading(amps, live, [handle.index]).reshape(2, -1, self.batch_size).transpose(2, 0, 1)
         left, singulars, _ = np.linalg.svd(mats, full_matrices=False)
         if singulars.shape[1] > 1 and singulars[:, 1].max() > ATOL:
             raise NotProductError(f"qubit {handle.index} is entangled with the rest of a row "

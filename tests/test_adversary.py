@@ -56,6 +56,15 @@ class TestAttackConfig:
         with pytest.raises(ValueError, match="rounds"):
             attack_config(strategy="bounded_rounds", rounds=0).validate()
 
+    @pytest.mark.parametrize("pairs", ["3", 1.5, True, -1])
+    def test_preshared_pairs_must_be_a_count(self, pairs):
+        with pytest.raises(ValueError, match="preshared_pairs"):
+            attack_config(strategy="swap_and_forward", preshared_pairs=pairs).validate()
+
+    @pytest.mark.parametrize("pairs", [None, 0, 2, np.int64(3)])
+    def test_preshared_pairs_accepted(self, pairs):
+        attack_config(strategy="swap_and_forward", preshared_pairs=pairs).validate()
+
     @pytest.mark.parametrize("label", [4, -1, 1.0, "1"])
     def test_preshared_label_must_be_a_label(self, label):
         with pytest.raises(ValueError, match="preshared_label"):
@@ -302,9 +311,11 @@ class TestOneVerdictPath:
 
 
 class TestExtremeDraws:
-    """Every draw at the smallest or largest 32-bit word, i.e. uniforms 0 and 1 - 2**-32."""
+    """Every draw at one fixed 32-bit word: the extremes (uniforms 0 and 1 - 2**-32) and the quarter
+    boundaries 2**30, 2**31 and 3 * 2**30, where a cumulative outcome probability (a multiple of 1/4)
+    equals the uniform and the summation order decides the pick. Batch rows must equal the single run."""
 
-    @pytest.mark.parametrize("word", [0, 2 ** 32 - 1])
+    @pytest.mark.parametrize("word", [0, 2 ** 30, 2 ** 31, 3 * 2 ** 30, 2 ** 32 - 1])
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("scenario", ["honest", *SHIPPED_STRATEGIES])
     def test_claims_hold(self, monkeypatch, word, variant, scenario):
@@ -312,12 +323,14 @@ class TestExtremeDraws:
         protocol = ProtocolConfig(n=4, variant=variant, challenge_states=[0, 1, 0, 1])
         if scenario == "honest":
             verdicts = [run_honest(protocol, 1)[0], *run_honest_batch(protocol, [1, 2])]
+            assert verdicts[1:] == verdicts[:1] * 2
             assert all(verdict.accepted for verdict in verdicts)
             return
         config = AttackConfig(strategy=scenario, delta=0.1, protocol=protocol)
         for diagnostic in (False, True):
             verdicts = [run_attack(config, 1, diagnostic=diagnostic).verdict,
                         *run_attack_batch(config, [1, 2], diagnostic=diagnostic)]
+            assert verdicts[1:] == verdicts[:1] * 2
             if scenario == "guess":
                 assert all(verdict.reason != REASON_TIMING for verdict in verdicts)
             elif diagnostic:

@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo harness and report serialization."""
 
 import math
+import multiprocessing
+import os
 
 import pytest
 
@@ -107,6 +109,70 @@ class TestRunExperiment:
         for seed in (-1, 2 ** 64):
             with pytest.raises(ValueError, match=f"seed must be .* got {seed}"):
                 run_experiment(ExperimentSpec(master_seed=seed), workers=2)
+
+
+class _InlineProcess:
+    """Stands in for ``multiprocessing.Process``: runs its target in this process when started."""
+
+    pid = 0
+
+    def __init__(self, target, args, log):
+        self.target, self.args = target, args
+        log.append(args[2:])  # (shard, shards)
+
+    def start(self):
+        self.target(*self.args)
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def _exit_without_counts(sender, *args):
+    os._exit(3)
+
+
+class TestFanOut:
+    """Shard count and split, with ``multiprocessing.Process`` patched so that no process starts."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(multiprocessing, "Process",
+                            lambda target, args, daemon: _InlineProcess(target, args, log))
+        return log
+
+    @pytest.mark.parametrize("workers,trials,cpus,shards", [
+        (64, 40, 2, 2),  # capped by the CPU count
+        (3, 40, 8, 3),  # by the workers
+        (8, 3, 8, 3),  # by the trials
+        (8, 1, 8, 1),  # one trial: no process
+        (1, 40, 8, 1),
+        (0, 40, 8, 1),
+    ])
+    def test_capped_and_caller_runs_shard_zero(self, monkeypatch, started, workers, trials, cpus, shards):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = ExperimentSpec(scenario="guess", n_values=(1, 3), trials=trials, master_seed=13)
+        fanned = run_experiment(spec, workers=workers)
+        assert started == [(shard, shards) for shard in range(1, shards)]
+        assert fanned == run_experiment(spec)
+
+    def test_shard_exception_reaches_caller(self, monkeypatch, started):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        counts = analysis._shard_counts
+        monkeypatch.setattr(analysis, "_shard_counts",
+                            lambda spec, shard, shards: counts(spec, shard, shards) if shard == 0 else 1 // 0)
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(ExperimentSpec(scenario="guess", n_values=(1,), trials=10), workers=2)
+        assert started == [(1, 2)]
+
+    def test_shard_process_that_dies_is_reported(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(analysis, "_send_shard", _exit_without_counts)
+        with pytest.raises(RuntimeError, match="exited without sending its counts"):
+            run_experiment(ExperimentSpec(scenario="guess", n_values=(1,), trials=10), workers=2)
 
 
 class TestReports:

@@ -101,6 +101,38 @@ class TestAttack:
         assert "ACCEPT" in out
 
 
+class TestConfigFile:
+    """Config-file values are checked, not coerced: each bad file exits 2 with an error naming the key."""
+
+    @pytest.mark.parametrize("command,settings,key", [
+        ("attack", {"preshared_pairs": "3", "strategy": "swap_and_forward"}, "preshared_pairs"),
+        ("attack", {"preshared_pairs": 1.5, "strategy": "swap_and_forward"}, "preshared_pairs"),
+        ("run", {"strict_duplicates": "false"}, "strict_duplicates"),
+        ("run", {"n": 2.9}, "n must be an int"),
+        ("run", {"n": True}, "n must be an int"),
+        ("run", {"nn": 2}, "unknown config key(s) 'nn'"),
+        ("attack", {"rounds": 1.5, "strategy": "bounded_rounds"}, "rounds"),
+        ("attack", {"x": "2"}, "x must be a number"),
+        ("attack", {"strategy": []}, "strategy must be a string"),
+        ("run", {"variant": None}, "variant must be a string"),
+        ("montecarlo", {"n": [1, True]}, "n must be an int"),
+        ("montecarlo", {"trials": 10.0}, "trials"),
+        ("montecarlo", {"trails": 10}, "unknown config key(s) 'trails'"),
+    ])
+    def test_rejected(self, tmp_path, capsys, command, settings, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(settings))
+        assert main([command, "--config", str(path), "--n", "2"] if command == "attack" else
+                    [command, "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_json_types_accepted(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 2, "x": 2, "strict_duplicates": True, "seed": 5}))
+        assert main(["run", "--config", str(path)]) == 0
+        assert "honest run: n=2 x=2.0" in capsys.readouterr().out
+
+
 class TestMonteCarlo:
     def test_report_written_and_passes(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

@@ -562,3 +562,76 @@ class TestBatchSampler:
             batch.bsm(first, second, np.zeros(2))
         with pytest.raises(InvalidTargetError, match="vanished"):
             batch.hadamard_measure(first, np.zeros(2))
+
+
+class TestFactoredQubits:
+    """Measured qubits leave the live amplitudes; touching one again multiplies its group back in."""
+
+    def setup_method(self):
+        # rows of a random payload on qubit 0 and bell(label) on qubits 1, 2
+        rng = np.random.default_rng(5)
+        self.labels = np.array([0, 1, 2, 3])
+        self.payloads = np.array([oracles.random_qubit_state(rng) for _ in self.labels])
+        self.reg, self.payload, self.sender, self.receiver = teleport_register(self.payloads, self.labels)
+        self.dense = [np.kron(payload, bell_target(label)) for label, payload in zip(self.labels, self.payloads)]
+
+    def check_states(self):
+        for row, state in enumerate(self.dense):
+            np.testing.assert_allclose(self.reg.states[row], state, atol=ATOL)
+
+    def test_states_view_only_while_nothing_is_factored(self):
+        self.reg.states[0] *= -1  # a global phase, written through the view
+        np.testing.assert_allclose(self.reg.states[0], -self.dense[0], atol=ATOL)
+        self.reg.bsm(self.payload, self.sender, np.full(4, 0.3))
+        before = self.reg.states.copy()
+        self.reg.states[0] *= -1  # written to a product copy: the register keeps its state
+        np.testing.assert_array_equal(self.reg.states, before)
+        assert self.reg.num_qubits == 3 and before.shape == (4, 8)
+
+    def test_bsm_then_remeasure_one_qubit(self):
+        outcomes = self.reg.bsm(self.payload, self.sender, np.array([0.1, 0.3, 0.6, 0.9]))
+        for row in range(4):
+            prob, self.dense[row] = oracles.dense_project(self.dense[row], bell_target(outcomes[row]), (0, 1))
+            assert prob > ATOL
+        self.check_states()
+        uniforms = np.array([0.2, 0.5, 0.7, 0.95])
+        bits = self.reg.hadamard_measure(self.sender, uniforms)
+        for row in range(4):
+            probs = [oracles.dense_project(self.dense[row], oracles.hadamard_state(b), (1,))[0] for b in (0, 1)]
+            np.testing.assert_allclose(probs, 0.5, atol=ATOL)  # half of a Bell pair
+            assert inverse_cdf(np.array(probs), uniforms[row]) == bits[row]
+            _, self.dense[row] = oracles.dense_project(self.dense[row], oracles.hadamard_state(bits[row]), (1,))
+        self.check_states()
+
+    def test_hadamard_measure_then_frame_and_reduced_state(self):
+        bits = self.reg.hadamard_measure(self.payload, np.array([0.1, 0.4, 0.6, 0.9]))
+        for row in range(4):
+            _, self.dense[row] = oracles.dense_project(self.dense[row], oracles.hadamard_state(bits[row]), (0,))
+        k, k_prime = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+        self.reg.apply_frame(self.payload, k, k_prime)
+        received = self.reg.reduced_state(self.payload)
+        for row in range(4):
+            frame = oracles.pauli_matrix(k[row], k_prime[row])
+            self.dense[row] = oracles.dense_operator({0: frame}, 3) @ self.dense[row]
+            expected = frame @ oracles.hadamard_state(bits[row])
+            assert oracles.equal_up_to_phase(received[row], expected)
+        self.check_states()
+
+    def test_changing_returned_outcomes_leaves_the_register(self):
+        outcomes = self.reg.bsm(self.payload, self.sender, np.full(4, 0.6))
+        before = self.reg.states.copy()
+        outcomes ^= 3
+        np.testing.assert_array_equal(self.reg.states, before)
+
+    def test_qubit_factored_within_a_bell_pair_is_not_a_product(self):
+        outcomes = self.reg.bsm(self.payload, self.sender, np.full(4, 0.6))
+        with pytest.raises(NotProductError):
+            self.reg.reduced_state(self.sender)
+        # the receiver now holds the teleported payload, a product state
+        received = self.reg.reduced_state(self.receiver)
+        for row in range(4):
+            frame = pauli_frame_from(self.labels[row], outcomes[row])
+            expected = oracles.teleport_receiver_oracle(self.payloads[row], self.labels[row], outcomes[row])
+            assert oracles.equal_up_to_phase(received[row], expected)
+            assert oracles.equal_up_to_phase(
+                expected, oracles.expected_receiver_state(self.payloads[row], frame >> 1, frame & 1))
