@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quantum
-from .protocol import ProtocolConfig, TrialCore, PairTranscript, Verdict, announcement, completion_time
+from .protocol import ProtocolConfig, TrialCore, PairTranscript, Verdict, _execute, announcement, completion_time
 from .spacetime import Actor, Event
 
 
@@ -257,17 +257,7 @@ STRATEGIES = {
     "cheat_w_prime": _CheatReadWPrime,  # test-only negative control
 }
 
-SHIPPED_STRATEGIES = ("guess", "swap_and_forward", "bounded_rounds")
-
-
-def _execute_attack(config: AttackConfig, core: TrialCore) -> tuple[_ColluderPair, list[Event]]:
-    strategy = STRATEGIES[config.strategy](core, config)
-    core.setup_timeline(strategy.actors())
-    strategy.install()
-    core.schedule_v1_teleport()
-    core.schedule_pool()
-    events = core.run_events()
-    return strategy, events
+SHIPPED_STRATEGIES = tuple(name for name, cls in STRATEGIES.items() if cls is not _CheatReadWPrime)
 
 
 def _verdicts(core: TrialCore, diagnostic: bool) -> list[Verdict]:
@@ -280,7 +270,6 @@ def _verdicts(core: TrialCore, diagnostic: bool) -> list[Verdict]:
 def run_attack(
     config: AttackConfig,
     seed: int | None = None,
-    collect_transcripts: bool = True,
     diagnostic: bool = False,
 ) -> AttackOutcome:
     """Execute one adversary trial; verifiers behave exactly as in run_honest.
@@ -293,14 +282,13 @@ def run_attack(
     """
     config.validate()
     core = TrialCore(config.protocol, seed)
-    strategy, events = _execute_attack(config, core)
-    verdict = _verdicts(core, diagnostic)[0]
-    transcripts = core.build_transcripts() if collect_transcripts else []
+    strategy = STRATEGIES[config.strategy](core, config)
+    events = _execute(core, strategy)
     return AttackOutcome(
-        verdict=verdict,
+        verdict=_verdicts(core, diagnostic)[0],
         earliest_complete_response_time=completion_time(core.config, core.materials_v1, core.materials_v2),
         agreement_time=strategy.agreement_time,
-        transcripts=transcripts,
+        transcripts=core.build_transcripts(),
         events=events,
     )
 
@@ -309,5 +297,5 @@ def run_attack_batch(config: AttackConfig, trial_seeds, diagnostic: bool = False
     """Many attack trials in one vectorized pass: ``[t]`` equals ``run_attack(config, trial_seeds[t])``."""
     config.validate()
     core = TrialCore(config.protocol, trial_seeds=trial_seeds)
-    _execute_attack(config, core)
+    _execute(core, STRATEGIES[config.strategy](core, config))
     return _verdicts(core, diagnostic)

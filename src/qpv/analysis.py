@@ -29,11 +29,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .adversary import AttackConfig, run_attack, run_attack_batch
+from .adversary import SHIPPED_STRATEGIES, AttackConfig, run_attack_batch
 from .philox import check_seed, key_words, philox4x32
-from .protocol import ProtocolConfig, run_honest, run_honest_batch
+from .protocol import ProtocolConfig, run_honest_batch
 
-SCENARIOS = ("honest", "guess", "swap_and_forward", "bounded_rounds")
+SCENARIOS = ("honest", *SHIPPED_STRATEGIES)
 
 _FLOAT_FIELDS = ("acceptance_rate", "detection_rate", "expected_acceptance",
                  "sigma", "interval_low", "interval_high", "bound")
@@ -49,7 +49,6 @@ class ExperimentSpec:
     delta: float = 0.1
     rounds: int = 1
     variant: str = "two_bit"
-    output_path: str | None = field(default=None, compare=False)
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -131,16 +130,6 @@ def _trial_config(scenario: str, n: int, *, x: float, delta: float, rounds: int,
     if scenario == "honest":
         return protocol
     return AttackConfig(strategy=scenario, delta=delta, rounds=rounds, protocol=protocol)
-
-
-def run_trial(scenario: str, n: int, seed: int, *, x: float = 1.0, delta: float = 0.1,
-              rounds: int = 1, variant: str = "two_bit") -> bool:
-    """One trial; returns whether the verifiers accepted."""
-    config = _trial_config(scenario, n, x=x, delta=delta, rounds=rounds, variant=variant)
-    if scenario == "honest":
-        verdict, _, _ = run_honest(config, seed, collect_transcripts=False)
-        return verdict.accepted
-    return run_attack(config, seed, collect_transcripts=False).verdict.accepted
 
 
 # Cap on register rows per vectorized pass; keeps peak state arrays small.

@@ -14,8 +14,8 @@ import os
 import sys
 
 from .adversary import SHIPPED_STRATEGIES, AttackConfig, run_attack
-from .analysis import ExperimentSpec, render_csv, run_experiment, write_report
-from .protocol import VARIANT_TWO_BIT, ProtocolConfig, run_honest, transcripts_to_json
+from .analysis import SCENARIOS, ExperimentSpec, render_csv, run_experiment, write_report
+from .protocol import VARIANT_TWO_BIT, VARIANTS, ProtocolConfig, run_honest, transcripts_to_json
 from .selftest import SUITES, run_selftest
 from .spacetime import format_event_log
 
@@ -28,17 +28,22 @@ _MONTECARLO_KEYS = ("scenario", "n", "trials", "seed", "x", "delta", "rounds", "
 _KINDS = {int: "an int", float: "a number", bool: "a JSON boolean", str: "a string"}
 
 
-def _load_config_file(path: str | None, known: tuple[str, ...]) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; known: {', '.join(known)}")
-    return data
+def _merged(args: argparse.Namespace, known: tuple[str, ...]) -> dict:
+    """Values of the config file (``args.config``, keys ``known``) overridden by any flag the user set."""
+    merged = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            merged = json.load(handle)
+        if not isinstance(merged, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(merged) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; known: {', '.join(known)}")
+    for name in known:
+        value = getattr(args, name, None)
+        if value is not None:
+            merged[name] = value
+    return merged
 
 
 def _typed(name: str, value, kind: type):
@@ -58,16 +63,6 @@ def _typed(name: str, value, kind: type):
 def _name(settings: dict, key: str, default: str) -> str:
     """The string setting ``key`` (or ``default``), with dashes read as underscores."""
     return _typed(key, settings.get(key, default), str).replace("-", "_")
-
-
-def _merged(args: argparse.Namespace, file_keys: dict, flag_names: list[str]) -> dict:
-    """Config-file values overridden by any flag the user actually set."""
-    merged = dict(file_keys)
-    for name in flag_names:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    return merged
 
 
 def _protocol_config(settings: dict) -> ProtocolConfig:
@@ -94,7 +89,7 @@ def _print_transcripts(transcripts) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings = _merged(args, _load_config_file(args.config, _RUN_KEYS), ["n", "x", "variant", "deadline_slack", "seed"])
+    settings = _merged(args, _RUN_KEYS)
     config = _protocol_config(settings)
     config.validate()
     seed = _typed("seed", settings.get("seed", 0), int)
@@ -111,13 +106,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    settings = _merged(
-        args,
-        _load_config_file(args.config, _ATTACK_KEYS),
-        ["n", "x", "variant", "deadline_slack", "seed", "strategy", "delta", "rounds", "preshared_pairs"],
-    )
+    settings = _merged(args, _ATTACK_KEYS)
+    strategy = _name(settings, "strategy", "guess")
+    if strategy not in SHIPPED_STRATEGIES:  # a config file bypasses the flag's choices
+        raise ValueError(f"strategy must be one of {SHIPPED_STRATEGIES}, got {strategy!r}")
     config = AttackConfig(
-        strategy=_name(settings, "strategy", "guess"),
+        strategy=strategy,
         delta=_typed("delta", settings.get("delta", 0.1), float),
         rounds=_typed("rounds", settings.get("rounds", 1), int),
         preshared_pairs=settings.get("preshared_pairs"),
@@ -140,11 +134,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    settings = _merged(
-        args,
-        _load_config_file(args.config, _MONTECARLO_KEYS),
-        _MONTECARLO_KEYS,
-    )
+    settings = _merged(args, _MONTECARLO_KEYS)
     n_raw = settings.get("n", "1,2,4,8")
     if isinstance(n_raw, str):
         n_values = tuple(int(part) for part in n_raw.split(","))
@@ -177,6 +167,21 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if run_selftest(suites) else 1
 
 
+def _choices(names) -> list[str]:
+    """Each name spelled with dashes, then as written."""
+    return list(dict.fromkeys([*(name.replace("_", "-") for name in names), *names]))
+
+
+def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``run`` and ``attack`` share: a config file and the protocol settings."""
+    parser.add_argument("--config", help="JSON config file; flags override its values")
+    parser.add_argument("--n", type=int, help="number of entangled pairs (default 4)")
+    parser.add_argument("--x", type=float, help="prover distance from each verifier (default 1)")
+    parser.add_argument("--variant", choices=_choices(VARIANTS), help="announcement variant (default two-bit)")
+    parser.add_argument("--deadline-slack", dest="deadline_slack", type=float, help="extra allowance on the deadline")
+    parser.add_argument("--seed", type=int, help="trial seed, an int in [0, 2**64) (default 0)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpv",
@@ -185,44 +190,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one honest protocol instance and print its transcript")
-    run_p.add_argument("--config", help="JSON config file; flags override its values")
-    run_p.add_argument("--n", type=int, help="number of entangled pairs (default 4)")
-    run_p.add_argument("--x", type=float, help="prover distance from each verifier (default 1)")
-    run_p.add_argument("--variant", choices=["two-bit", "single-bit", "two_bit", "single_bit"],
-                       help="announcement variant (default two-bit)")
-    run_p.add_argument("--deadline-slack", dest="deadline_slack", type=float, help="extra allowance on the deadline")
-    run_p.add_argument("--seed", type=int, help="trial seed, an int in [0, 2**64) (default 0)")
+    _add_protocol_flags(run_p)
     run_p.add_argument("--transcript-json", help="also write the per-pair transcript to this file")
     run_p.set_defaults(func=cmd_run)
 
     atk_p = sub.add_parser("attack", help="run one colluding-prover trial")
-    atk_p.add_argument("--config", help="JSON config file; flags override its values")
-    atk_p.add_argument("--strategy", choices=[s.replace("_", "-") for s in SHIPPED_STRATEGIES] + list(SHIPPED_STRATEGIES),
-                       help="adversary strategy (default guess)")
-    atk_p.add_argument("--n", type=int)
-    atk_p.add_argument("--x", type=float)
+    _add_protocol_flags(atk_p)
+    atk_p.add_argument("--strategy", choices=_choices(SHIPPED_STRATEGIES), help="adversary strategy (default guess)")
     atk_p.add_argument("--delta", type=float, help="colluder offset from the claimed position (default 0.1)")
     atk_p.add_argument("--rounds", type=int, help="free local rounds for bounded-rounds (default 1)")
     atk_p.add_argument("--preshared-pairs", dest="preshared_pairs", type=int,
                        help="cap on pre-shared Bell pairs (default unlimited)")
-    atk_p.add_argument("--variant", choices=["two-bit", "single-bit", "two_bit", "single_bit"])
-    atk_p.add_argument("--deadline-slack", dest="deadline_slack", type=float)
-    atk_p.add_argument("--seed", type=int, help="trial seed, an int in [0, 2**64) (default 0)")
     atk_p.add_argument("--diagnostic", action="store_true",
                        help="judge with infinite deadline slack (content checks only)")
     atk_p.set_defaults(func=cmd_attack)
 
     mc_p = sub.add_parser("montecarlo", help="estimate acceptance/detection rates over many trials")
     mc_p.add_argument("--config", help="JSON config file; flags override its values")
-    mc_p.add_argument("--scenario", choices=["honest", "guess", "swap-and-forward", "bounded-rounds",
-                                             "swap_and_forward", "bounded_rounds"])
+    mc_p.add_argument("--scenario", choices=_choices(SCENARIOS))
     mc_p.add_argument("--n", help="comma-separated pair counts, e.g. 1,2,4,8")
     mc_p.add_argument("--trials", type=int, help="trials per point (default 10000)")
     mc_p.add_argument("--seed", type=int, help="master seed, an int in [0, 2**64) (default 0)")
     mc_p.add_argument("--x", type=float)
     mc_p.add_argument("--delta", type=float)
     mc_p.add_argument("--rounds", type=int)
-    mc_p.add_argument("--variant", choices=["two-bit", "single-bit", "two_bit", "single_bit"])
+    mc_p.add_argument("--variant", choices=_choices(VARIANTS))
     mc_p.add_argument("--workers", type=int, help="worker processes, at most the CPU count (default: CPU count)")
     mc_p.add_argument("--format", choices=["json", "csv"], help="report format (default json)")
     mc_p.add_argument("--out", help="report path (default qpv_report.<fmt>)")

@@ -78,14 +78,14 @@ class ProtocolConfig:
     def validate(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (self.x > 0):
-            raise ValueError(f"x must be positive, got {self.x}")
+        if not (0 < 2 * self.x < math.inf):  # V2 sits at 2x, so 2x must be finite too
+            raise ValueError(f"x must be positive with 2x finite, got {self.x}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.deadline_slack < 0:
-            raise ValueError("deadline_slack must be >= 0")
-        if self.prover_delay < 0:
-            raise ValueError("prover_delay must be >= 0")
+        if not (self.deadline_slack >= 0):  # also rejects NaN; inf is allowed
+            raise ValueError(f"deadline_slack must be >= 0, got {self.deadline_slack}")
+        if not (self.prover_delay >= 0):
+            raise ValueError(f"prover_delay must be >= 0, got {self.prover_delay}")
         for name in ("challenge_states", "bell_labels_v1", "bell_labels_v2"):
             seq = getattr(self, name)
             if seq is not None and len(seq) != self.n:
@@ -187,9 +187,6 @@ class MaterialStore:
         if time < self.announcement_time:
             self.announcement = np.asarray(values, dtype=np.int64).copy()
             self.announcement_time = time
-
-    def has_report(self) -> bool:
-        return math.isfinite(self.report_time)
 
 
 def judge(
@@ -343,10 +340,6 @@ class TrialCore:
 
     # -- setup ----------------------------------------------------------------
 
-    def setup_timeline(self, extra_actors: Sequence[Actor]) -> Timeline:
-        self.timeline = Timeline([self.v1, self.v2, self.pool, *extra_actors])
-        return self.timeline
-
     def schedule_verifier_prep(self, p1_receiver: Actor, p1_handler, p2_receiver: Actor, p2_handler) -> None:
         """t = 0: both verifiers prepare Bell pairs and launch the second halves."""
         tl = self.timeline
@@ -394,7 +387,7 @@ class TrialCore:
 
     def v2_receive(self, message) -> None:
         self._ingest(self.materials_v2, message)
-        if self.v2_measured is None and self.materials_v2.has_report():
+        if self.v2_measured is None and math.isfinite(self.materials_v2.report_time):
             bits = self.reg_v2side.hadamard_measure(self.q_v2, self.sample_uniforms(), by=self.v2.id)
             self.v2_measured = bits
             self.v2_measured_at = self.timeline.now
@@ -414,14 +407,7 @@ class TrialCore:
         return judge(self.config, self.challenges, self.labels_v1, self.labels_v2, self.w_prime,
                      self.v2_measured, self.materials_v1, self.materials_v2)
 
-    # -- runner -----------------------------------------------------------------
-
-    def run_events(self) -> list[Event]:
-        events = self.timeline.run_until_quiescent()
-        violations = verify_causality(self.timeline)
-        if violations:
-            raise CausalityViolationError("; ".join(violations))
-        return events
+    # -- transcripts ------------------------------------------------------------
 
     def build_transcripts(self) -> list[PairTranscript]:
         """Per-pair records; report is V1's copy, announcement is V2's copy."""
@@ -444,12 +430,25 @@ class TrialCore:
 
 
 class _HonestProver:
-    """Honest prover: measure, re-prepare, teleport onward, announce to both."""
+    """Honest prover: measure, re-prepare, teleport onward, announce to both.
+
+    Every prover, honest or colluding, offers ``actors()`` (its actors on the
+    timeline), ``install()`` (schedules the verifiers' preparation with its own
+    handlers, and any events of its own) and ``agreement_time``.
+    """
+
+    agreement_time = None
 
     def __init__(self, core: TrialCore):
         self.core = core
         self.actor = Actor(TrialCore.ACTOR_PROVER, "P", "prover", core.x)
         self._halves = 0
+
+    def actors(self) -> list[Actor]:
+        return [self.actor]
+
+    def install(self) -> None:
+        self.core.schedule_verifier_prep(self.actor, self.on_half, self.actor, self.on_half)
 
     def on_half(self, message) -> None:
         self._halves += 1
@@ -476,19 +475,26 @@ class _HonestProver:
                 handler=core.v2_receive, emit_time=emit)
 
 
-def _execute_honest(core: TrialCore) -> list[Event]:
-    prover = _HonestProver(core)
-    core.setup_timeline([prover.actor])
-    core.schedule_verifier_prep(prover.actor, prover.on_half, prover.actor, prover.on_half)
+def _execute(core: TrialCore, prover) -> list[Event]:
+    """Run ``prover`` (see :class:`_HonestProver`) against the verifiers until quiescent.
+
+    Returns the event log; raises CausalityViolationError if any emitted
+    value was not yet knowable to its sender.
+    """
+    core.timeline = Timeline([core.v1, core.v2, core.pool, *prover.actors()])
+    prover.install()
     core.schedule_v1_teleport()
     core.schedule_pool()
-    return core.run_events()
+    events = core.timeline.run_until_quiescent()
+    violations = verify_causality(core.timeline)
+    if violations:
+        raise CausalityViolationError("; ".join(violations))
+    return events
 
 
 def run_honest(
     config: ProtocolConfig,
     seed: int | None = None,
-    collect_transcripts: bool = True,
 ) -> tuple[Verdict, list[PairTranscript], list[Event]]:
     """Execute one honest protocol instance; returns (verdict, transcripts, event log).
 
@@ -496,13 +502,12 @@ def run_honest(
     otherwise); None draws a fresh key from the operating system.
     """
     core = TrialCore(config, seed)
-    events = _execute_honest(core)
-    transcripts = core.build_transcripts() if collect_transcripts else []
-    return core.compute_verdicts()[0], transcripts, events
+    events = _execute(core, _HonestProver(core))
+    return core.compute_verdicts()[0], core.build_transcripts(), events
 
 
 def run_honest_batch(config: ProtocolConfig, trial_seeds: Sequence[int]) -> list[Verdict]:
     """Many honest trials in one vectorized pass: ``[t]`` equals ``run_honest(config, trial_seeds[t])``."""
     core = TrialCore(config, trial_seeds=trial_seeds)
-    _execute_honest(core)
+    _execute(core, _HonestProver(core))
     return core.compute_verdicts()

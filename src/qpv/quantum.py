@@ -34,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 ATOL = 1e-9
-DEFAULT_MAX_QUBITS = 24
 SQRT_HALF = 2.0 ** -0.5
 _MAX_UNIFORM = 1.0 - 2.0 ** -32  # the largest uniform a 32-bit draw gives
 
@@ -155,9 +154,8 @@ class BatchRegister:
     factoring of measured qubits are described in the module docstring.
     """
 
-    def __init__(self, batch_size: int, max_qubits: int = DEFAULT_MAX_QUBITS):
+    def __init__(self, batch_size: int):
         self.batch_size = batch_size
-        self.max_qubits = max_qubits
         self.handles: list[QubitHandle] = []
         self._amps: np.ndarray | None = None  # (2**len(_live), batch), C-contiguous
         self._live: list[int] = []  # qubit index of each leading axis of _amps, ascending
@@ -196,8 +194,6 @@ class BatchRegister:
         self._amps, self._live = amps, live
 
     def _grow(self, block: np.ndarray, count: int, owners: Sequence[object]) -> list[QubitHandle]:
-        if self.num_qubits + count > self.max_qubits:
-            raise ValueError(f"register would exceed the configured maximum of {self.max_qubits} qubits")
         expected = (self.batch_size, 2 ** count)
         if block.shape != expected:
             raise ValueError(f"appended block has shape {block.shape}, expected {expected}")

@@ -48,17 +48,12 @@ class WorldPoint:
 
 @dataclass(frozen=True)
 class Actor:
-    """A protocol participant at a fixed position.
-
-    ``latency`` models local processing time before any emission; the default
-    0 matches the idealized negligible-processing assumption.
-    """
+    """A protocol participant at a fixed position; local processing takes no time."""
 
     id: int
     name: str
     role: str  # verifier | prover | adversary | virtual
     position: float
-    latency: float = 0.0
 
 
 @dataclass(eq=False)
@@ -190,10 +185,9 @@ class Timeline:
         Every classical value in the payload must already be knowable to the
         sender at the emit time; violations raise CausalityViolationError.
         Qubit payloads are marked in transit until delivery transfers
-        ownership to the receiver. The sender's processing latency delays the
-        emission.
+        ownership to the receiver.
         """
-        emit = (self.now if emit_time is None else emit_time) + sender.latency
+        emit = self.now if emit_time is None else emit_time
         if emit < self.now:
             raise ValueError("emit time lies in the past")
         values = tuple(values)

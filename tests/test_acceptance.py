@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qpv import oracles, selftest
-from qpv.adversary import AttackConfig, run_attack, run_attack_batch
+from qpv.adversary import STRATEGIES, AttackConfig, run_attack, run_attack_batch
 from qpv.analysis import ExperimentSpec, render_csv, render_json, run_experiment, trial_seed
 from qpv.protocol import (
     ProtocolConfig,
@@ -24,9 +24,9 @@ from qpv.protocol import (
     run_honest,
     transcripts_to_json,
     TrialCore,
-    _execute_honest,
+    _execute,
+    _HonestProver,
 )
-from qpv.adversary import _execute_attack
 from qpv.quantum import BatchRegister
 from qpv.spacetime import CausalityViolationError, format_event_log, verify_causality
 
@@ -166,14 +166,14 @@ def test_criterion_7_causality():
     protocol = ProtocolConfig(n=2, x=1.0)
 
     core = TrialCore(protocol, seed=7)
-    _execute_honest(core)
+    _execute(core, _HonestProver(core))
     assert verify_causality(core.timeline) == []
 
     for strategy in ("guess", "swap_and_forward", "bounded_rounds"):
         for delta in (0.05, 0.3):
             config = AttackConfig(strategy=strategy, delta=delta, protocol=protocol)
             core = TrialCore(protocol, seed=7)
-            _execute_attack(config, core)
+            _execute(core, STRATEGIES[strategy](core, config))
             assert verify_causality(core.timeline) == []
 
     errors = []

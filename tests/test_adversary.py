@@ -300,12 +300,11 @@ class TestOneVerdictPath:
         protocol = ProtocolConfig(n=3, variant=variant)
         seeds = trial_keys(12, scenario, 3, np.arange(20))
         if scenario == "honest":
-            serial = [run_honest(protocol, seed, collect_transcripts=False)[0] for seed in seeds]
+            serial = [run_honest(protocol, seed)[0] for seed in seeds]
             batch = run_honest_batch(protocol, seeds)
         else:
             config = AttackConfig(strategy=scenario, delta=0.1, protocol=protocol)
-            serial = [run_attack(config, seed, collect_transcripts=False, diagnostic=diagnostic).verdict
-                      for seed in seeds]
+            serial = [run_attack(config, seed, diagnostic=diagnostic).verdict for seed in seeds]
             batch = run_attack_batch(config, seeds, diagnostic=diagnostic)
         assert batch == serial
 

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from qpv import analysis
+from qpv.adversary import AttackConfig, run_attack
 from qpv.analysis import (
     ExperimentResult,
     ExperimentSpec,
@@ -15,11 +16,11 @@ from qpv.analysis import (
     render_csv,
     render_json,
     run_experiment,
-    run_trial,
     run_trial_batch,
     trial_seed,
     write_report,
 )
+from qpv.protocol import ProtocolConfig
 
 
 class TestSeedSplitting:
@@ -96,7 +97,8 @@ class TestRunExperiment:
 
     def test_batch_equals_serial_trials(self):
         seeds = [trial_seed(4, "guess", 2, i) for i in range(60)]
-        serial = sum(run_trial("guess", 2, s) for s in seeds)
+        config = AttackConfig(strategy="guess", protocol=ProtocolConfig(n=2))
+        serial = sum(run_attack(config, s).verdict.accepted for s in seeds)
         assert run_trial_batch("guess", 2, seeds) == serial
 
     def test_invalid_spec(self):

@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qpv import quantum, selftest
-from qpv.adversary import AttackConfig, run_attack
+from qpv import cli, quantum, selftest
+from qpv.adversary import STRATEGIES, AttackConfig, run_attack
 from qpv.cli import main
-from qpv.protocol import REASON_TIMING, REASON_V1, ProtocolConfig, run_honest
+from qpv.protocol import REASON_TIMING, REASON_V1, VARIANTS, ProtocolConfig, run_honest
 
 
 def _swap_label_bits_swapped(shared1, shared2, outcome):
@@ -118,6 +120,11 @@ class TestConfigFile:
         ("montecarlo", {"n": [1, True]}, "n must be an int"),
         ("montecarlo", {"trials": 10.0}, "trials"),
         ("montecarlo", {"trails": 10}, "unknown config key(s) 'trails'"),
+        ("run", {"x": float("inf")}, "x must be"),
+        ("run", {"x": 1e308}, "x must be"),
+        ("run", {"deadline_slack": float("nan")}, "deadline_slack"),
+        ("montecarlo", {"scenario": "honest", "x": 1e308, "delta": 1, "n": [1]}, "x must be"),
+        ("attack", {"strategy": "cheat_w_prime"}, "strategy must be one of"),
     ])
     def test_rejected(self, tmp_path, capsys, command, settings, key):
         path = tmp_path / "config.json"
@@ -131,6 +138,62 @@ class TestConfigFile:
         path.write_text(json.dumps({"n": 2, "x": 2, "strict_duplicates": True, "seed": 5}))
         assert main(["run", "--config", str(path)]) == 0
         assert "honest run: n=2 x=2.0" in capsys.readouterr().out
+
+
+def _spellings(names):
+    return st.sampled_from([*names, *(name.replace("_", "-") for name in names)])
+
+
+_WRONG_TYPE = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2))
+_ODD_FLOAT = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -0.0])
+_PAIR_COUNTS = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+_MONTECARLO_N = st.one_of(_PAIR_COUNTS, _PAIR_COUNTS.map(lambda ns: ",".join(map(str, ns))))
+# (usual value, odd value) per key; rounds stay small because events grow linearly in them
+_VALUES = {
+    "n": (st.integers(1, 4), st.integers(-1, 0)),
+    "x": (st.floats(0.01, 10.0), _ODD_FLOAT),
+    "delta": (st.floats(0.01, 1.0), _ODD_FLOAT),
+    "deadline_slack": (st.floats(0.0, 10.0), _ODD_FLOAT),
+    "variant": (_spellings(VARIANTS), st.sampled_from(["", "three_bit", "guess"])),
+    "strict_duplicates": (st.booleans(), st.integers(0, 1)),
+    "seed": (st.integers(0, 2 ** 64 - 1), st.sampled_from([-1, 2 ** 64])),
+    "strategy": (_spellings(STRATEGIES), st.sampled_from(["", "honest", "two_bit"])),
+    "scenario": (_spellings(["honest", *STRATEGIES]), st.sampled_from(["", "two_bit"])),
+    "rounds": (st.integers(1, 3), st.integers(-1, 0)),
+    "preshared_pairs": (st.one_of(st.none(), st.integers(0, 16)), st.just(-1)),
+    "trials": (st.integers(1, 8), st.integers(-1, 0)),
+    "format": (st.sampled_from(["json", "csv"]), st.just("xml")),
+}
+
+
+def _config_files(known, montecarlo):
+    """JSON config files for the keys ``known``: usual values; usual values with some odd ones, values
+    of the wrong type or an unknown key over them; or not an object. Monte Carlo files always bound
+    ``n`` and ``trials``."""
+    usual = {key: _MONTECARLO_N if montecarlo and key == "n" else _VALUES[key][0] for key in known if key in _VALUES}
+    odd = {key: st.one_of(_VALUES[key][1], _WRONG_TYPE) for key in usual}
+    required = {key: usual.pop(key) for key in ("n", "trials")} if montecarlo else {}
+    files = st.fixed_dictionaries(required, optional=usual)
+    overlays = st.fixed_dictionaries({}, optional={**odd, "unknown": st.integers()})
+    return st.one_of(files, st.builds(lambda file, overlay: {**file, **overlay}, files, overlays), _WRONG_TYPE)
+
+
+class TestConfigFuzz:
+    """Any config file ends in exit 0, 1 or 2, never in a traceback (small n, trials and rounds, one worker)."""
+
+    @pytest.mark.parametrize("command,known", [
+        ("run", cli._RUN_KEYS), ("attack", cli._ATTACK_KEYS), ("montecarlo", cli._MONTECARLO_KEYS),
+    ])
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code(self, tmp_path, capsys, command, known, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data.draw(_config_files(known, command == "montecarlo"))))
+        argv = [command, "--config", str(path)]
+        if command == "montecarlo":
+            argv += ["--workers", "1", "--out", str(tmp_path / "report")]
+        assert main(argv) in (0, 1, 2)
+        capsys.readouterr()
 
 
 class TestMonteCarlo:

@@ -51,6 +51,12 @@ class TestConfig:
             (dict(n=2, bell_labels_v2=[0, -1]), "bell_labels_v2"),
             (dict(n=1, bell_labels_v1=[1.0]), "bell_labels_v1"),
             (dict(n=1, bell_labels_v2=["1"]), "bell_labels_v2"),
+            (dict(x=math.inf), "x must be"),
+            (dict(x=math.nan), "x must be"),
+            (dict(x=1e308), "x must be"),  # 2x overflows
+            (dict(deadline_slack=math.nan), "slack"),
+            (dict(prover_delay=math.nan), "prover_delay"),
+            (dict(prover_delay=-0.5), "prover_delay"),
         ],
     )
     def test_invalid(self, kwargs, match):

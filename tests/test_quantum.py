@@ -97,12 +97,6 @@ class TestStateVector:
             reg.append_bell(np.zeros(3, dtype=np.intp))
         assert reg.states is None and reg.num_qubits == 0
 
-    def test_register_cap(self):
-        reg = BatchRegister(1, max_qubits=2)
-        reg.append_bell([0])
-        with pytest.raises(ValueError, match="maximum"):
-            reg.append_qubit(PLUS)
-
 
 class TestBsm:
     def test_bell_state_projects_onto_itself(self):

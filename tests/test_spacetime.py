@@ -116,16 +116,6 @@ class TestMessaging:
         assert message.emit_point == WorldPoint(0.0, 0.25)
         assert message.arrival_point == WorldPoint(1.0, 1.25)
 
-    def test_actor_latency_delays_emission(self):
-        slow = Actor(5, "slowP", "prover", 1.0, latency=0.25)
-        tl = Timeline([V1, slow])
-        value = tl.new_value(slow, "r", 0)
-        messages = []
-        tl.schedule(1.0, slow, "emit", lambda: messages.append(tl.send(slow, V1, "data", values=[value])))
-        tl.run_until_quiescent()
-        assert messages[0].emit_time == 1.25
-        assert messages[0].arrival_time == 2.25
-
     def test_qubit_transit_and_ownership(self):
         tl = timeline()
         handle = QubitHandle(index=0, owner=V1.id)
