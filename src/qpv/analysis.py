@@ -34,6 +34,7 @@ from .philox import check_seed, key_words, philox4x32
 from .protocol import ProtocolConfig, run_honest_batch
 
 SCENARIOS = ("honest", *SHIPPED_STRATEGIES)
+REPORT_FORMATS = ("json", "csv")
 
 _FLOAT_FIELDS = ("acceptance_rate", "detection_rate", "expected_acceptance",
                  "sigma", "interval_low", "interval_high", "bound")
@@ -288,16 +289,16 @@ def render_csv(result: ExperimentResult) -> str:
     return buffer.getvalue()
 
 
+def check_report_format(fmt: str) -> None:
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}; known: {', '.join(REPORT_FORMATS)}")
+
+
 def write_report(result: ExperimentResult, path: str, fmt: str = "json") -> str:
-    """Write the report file; returns the path. Formats: json, csv."""
-    if fmt == "json":
-        text = render_json(result)
-    elif fmt == "csv":
-        text = render_csv(result)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+    """Write the report file; returns the path. Formats: ``REPORT_FORMATS``."""
+    check_report_format(fmt)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.write(render_json(result) if fmt == "json" else render_csv(result))
     return path
 
 
@@ -310,6 +311,7 @@ def parse_report(text: str, fmt: str = "json") -> ExperimentResult:
     trials back, and the default ``master_seed``, ``x``, ``delta``, ``rounds``
     and ``variant``.
     """
+    check_report_format(fmt)
     if fmt == "json":
         payload = json.loads(text)
         spec = ExperimentSpec(
@@ -323,7 +325,7 @@ def parse_report(text: str, fmt: str = "json") -> ExperimentResult:
             variant=payload["variant"],
         )
         counts = [(row["n"], row["accept_count"]) for row in payload["rows"]]
-    elif fmt == "csv":
+    else:
         reader = csv.DictReader(io.StringIO(text))
         records = list(reader)
         if not records:
@@ -335,8 +337,6 @@ def parse_report(text: str, fmt: str = "json") -> ExperimentResult:
             trials=int(first["trials"]),
         )
         counts = [(int(r["n"]), int(r["accept_count"])) for r in records]
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
     result = ExperimentResult(spec=spec)
     result.rows = [_make_row(spec, n, accepted) for n, accepted in counts]
     return result

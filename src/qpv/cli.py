@@ -14,7 +14,8 @@ import os
 import sys
 
 from .adversary import SHIPPED_STRATEGIES, AttackConfig, run_attack
-from .analysis import SCENARIOS, ExperimentSpec, render_csv, run_experiment, write_report
+from .analysis import (REPORT_FORMATS, SCENARIOS, ExperimentSpec, check_report_format, render_csv, run_experiment,
+                       write_report)
 from .protocol import VARIANT_TWO_BIT, VARIANTS, ProtocolConfig, run_honest, transcripts_to_json
 from .selftest import SUITES, run_selftest
 from .spacetime import format_event_log
@@ -153,9 +154,10 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         variant=_name(settings, "variant", "two_bit"),
     )
     spec.validate()
-    result = run_experiment(spec, workers=_typed("workers", settings.get("workers", os.cpu_count() or 1), int))
     fmt = _typed("format", settings.get("format", "json"), str)
+    check_report_format(fmt)
     out = _typed("out", settings.get("out", f"qpv_report.{fmt}"), str)
+    result = run_experiment(spec, workers=_typed("workers", settings.get("workers", os.cpu_count() or 1), int))
     write_report(result, out, fmt)
     print(render_csv(result).rstrip("\n"))
     print(f"report written to {out}")
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc_p.add_argument("--rounds", type=int)
     mc_p.add_argument("--variant", choices=_choices(VARIANTS))
     mc_p.add_argument("--workers", type=int, help="worker processes, at most the CPU count (default: CPU count)")
-    mc_p.add_argument("--format", choices=["json", "csv"], help="report format (default json)")
+    mc_p.add_argument("--format", choices=REPORT_FORMATS, help="report format (default json)")
     mc_p.add_argument("--out", help="report path (default qpv_report.<fmt>)")
     mc_p.set_defaults(func=cmd_montecarlo)
 

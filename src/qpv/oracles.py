@@ -135,9 +135,9 @@ def random_payloads(count: int, seed: int) -> list[np.ndarray]:
     return [random_qubit_state(rng) for _ in range(count)]
 
 
-# Dense reference for whole registers: every operator is a full 2**n x 2**n
-# matrix, a Kronecker product of single-qubit factors with identities on the
-# untouched qubits, so no axis is ever moved.
+# Dense reference for whole registers: every operator is an explicit matrix, a
+# Kronecker product of single-qubit factors with identities on the untouched
+# qubits, so no axis is ever moved.
 
 def dense_operator(factors: dict[int, np.ndarray], num_qubits: int) -> np.ndarray:
     """Kronecker product over qubits 0..num_qubits-1 of ``factors[q]`` (identity where absent)."""
@@ -147,27 +147,27 @@ def dense_operator(factors: dict[int, np.ndarray], num_qubits: int) -> np.ndarra
     return out
 
 
-def dense_projector(target: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """|target><target| on ``qubits`` (big-endian within ``target``), identity elsewhere."""
+def dense_bra(target: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """<target| on ``qubits`` (big-endian within ``target``) tensored with the identity elsewhere.
+
+    A (2**(num_qubits - len(qubits)), 2**num_qubits) matrix: it maps a state
+    to the unnormalized state of the other qubits, in ascending order.
+    """
     width = len(qubits)
-    proj = np.zeros((2 ** num_qubits, 2 ** num_qubits), dtype=complex)
+    bra = np.zeros((2 ** (num_qubits - width), 2 ** num_qubits), dtype=complex)
     for i in np.flatnonzero(target):
-        for j in np.flatnonzero(target):
-            units = {}
-            for pos, q in enumerate(qubits):
-                unit = np.zeros((2, 2))
-                unit[(i >> (width - 1 - pos)) & 1, (j >> (width - 1 - pos)) & 1] = 1.0
-                units[q] = unit
-            proj += target[i] * np.conj(target[j]) * dense_operator(units, num_qubits)
-    return proj
+        rows = {q: np.eye(2)[[(i >> (width - 1 - pos)) & 1]] for pos, q in enumerate(qubits)}
+        bra += np.conj(target[i]) * dense_operator(rows, num_qubits)
+    return bra
 
 
 def dense_project(state: np.ndarray, target: np.ndarray, qubits: tuple[int, ...]) -> tuple[float, np.ndarray]:
-    """(probability, normalized post state) of projecting ``qubits`` of ``state`` onto ``target``.
+    """(probability, normalized state of the other qubits) after projecting ``qubits`` of ``state`` onto ``target``.
 
-    The post state is returned unnormalized when the probability is 0.
+    The measured qubits are contracted out; the others keep their ascending
+    order. The state is returned unnormalized when the probability is 0.
     """
     num_qubits = state.size.bit_length() - 1
-    post = dense_projector(np.asarray(target, dtype=complex), qubits, num_qubits) @ state
-    prob = float(np.vdot(post, post).real)
-    return prob, (post / np.sqrt(prob) if prob > 0 else post)
+    rest = dense_bra(np.asarray(target, dtype=complex), qubits, num_qubits) @ state
+    prob = float(np.vdot(rest, rest).real)
+    return prob, (rest / np.sqrt(prob) if prob > 0 else rest)

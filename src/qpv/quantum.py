@@ -5,14 +5,13 @@ One engine, :class:`BatchRegister`, holds many independent registers as rows
 verifiers need is XOR on 2-bit labels (``pauli_frame_from``, ``swap_label``).
 
 Layout: amplitudes are stored batch-last, one contiguous ``(2**live, rows)``
-complex array over the live qubits. A measurement moves its qubits' axes to
-the front and applies the real basis matrix as one float64 GEMM on the float
-view. The measured qubits are then in a known basis state in every row, so
-they are factored out of the live array and kept as ``(qubits, basis,
-outcomes)``; touching one again (a re-measurement, ``apply_frame``,
-``reduced_state``) multiplies its group back in. ``BatchRegister.states``
-gives the dense ``(rows, 2**num_qubits)`` state in handle order, for tests
-and oracles: a view while no qubit is factored out, else a product copy.
+complex array over the live (unmeasured) qubits in handle order. A
+measurement moves its qubits' axes to the front, applies the real basis
+matrix as one float64 GEMM on the float view and keeps each row's outcome
+slice. Every measurement in the protocol is final, so a measurement consumes
+its qubits: they leave the array, and any later operation on one raises
+InvalidTargetError. ``BatchRegister.states`` is a view of the array,
+``(rows, 2**live)``, for tests and oracles.
 
 Conventions, fixed once and used everywhere:
 
@@ -120,20 +119,6 @@ def _pick_rows(probs: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.
     return np.argmax(cum > target, axis=1), probs / total
 
 
-def _joined(amps: np.ndarray, live: list[int], groups) -> tuple[np.ndarray, list[int]]:
-    """``amps`` over the qubits ``live`` with each factored ``(qubits, basis, outcomes)`` group multiplied in.
-
-    Returns the product amplitudes, batch-last, and their qubits in ascending order.
-    """
-    axes = list(live)
-    for qubits, basis, outcomes in groups:
-        amps = (basis.T[:, outcomes][:, None, :] * amps[None, :, :]).reshape(-1, amps.shape[-1])
-        axes = [*qubits, *axes]
-    order = [*np.argsort(axes), len(axes)]
-    tensor = amps.reshape([2] * len(axes) + [-1]).transpose(order)
-    return np.ascontiguousarray(tensor).reshape(-1, amps.shape[-1]), sorted(axes)
-
-
 def _leading(amps: np.ndarray, live: list[int], qubits: list[int]) -> np.ndarray:
     """``amps`` with the axes of ``qubits`` moved to the front, as a contiguous (2**len(qubits), -1) array."""
     lead = [live.index(q) for q in qubits]
@@ -148,10 +133,10 @@ class BatchRegister:
     One row per register; every operation acts on all rows at once with
     per-row parameters and per-row uniform draws supplied by the caller, so a
     Monte Carlo trial costs a fixed number of array operations regardless of
-    the pair count. A single register is the one-row case. Measurements check
+    the pair count. A single register is the one-row case. Operations check
     quantum locality: a qubit in transit cannot be touched, and when ``by`` is
-    given, only its owner may measure it. The amplitude layout and the
-    factoring of measured qubits are described in the module docstring.
+    given, only its owner may touch it. A measured qubit cannot be touched
+    again. The amplitude layout is described in the module docstring.
     """
 
     def __init__(self, batch_size: int):
@@ -159,7 +144,6 @@ class BatchRegister:
         self.handles: list[QubitHandle] = []
         self._amps: np.ndarray | None = None  # (2**len(_live), batch), C-contiguous
         self._live: list[int] = []  # qubit index of each leading axis of _amps, ascending
-        self._factored: dict[int, tuple] = {}  # qubit -> its group (qubits, basis, outcomes)
         self._rows = np.arange(batch_size)
 
     @property
@@ -168,30 +152,11 @@ class BatchRegister:
 
     @property
     def states(self) -> np.ndarray | None:
-        """Dense row states, (batch, 2**num_qubits) in handle order; None before the first qubit.
+        """Row states over the unmeasured qubits, (batch, 2**live) in handle order; None before the first qubit.
 
-        A view of the amplitudes while no qubit is factored out, else a product copy.
+        A view of the amplitudes, so a write to it changes the register.
         """
-        if self._amps is None:
-            return None
-        return self._expanded(self._factored)[0].T
-
-    def _expanded(self, qubits) -> tuple[np.ndarray, list[int], list[int]]:
-        """Amplitudes and live qubits with the groups holding ``qubits`` multiplied back in.
-
-        Also returns the qubits so restored. Leaves the register as it is: a
-        caller that succeeds stores the result with ``_store``.
-        """
-        groups = {id(group): group for group in map(self._factored.get, qubits) if group is not None}
-        if not groups:
-            return self._amps, self._live, []
-        amps, live = _joined(self._amps, self._live, groups.values())
-        return amps, live, [q for group in groups.values() for q in group[0]]
-
-    def _store(self, amps: np.ndarray, live: list[int], restored: list[int]) -> None:
-        for q in restored:
-            del self._factored[q]
-        self._amps, self._live = amps, live
+        return None if self._amps is None else self._amps.T
 
     def _grow(self, block: np.ndarray, count: int, owners: Sequence[object]) -> list[QubitHandle]:
         expected = (self.batch_size, 2 ** count)
@@ -234,6 +199,8 @@ class BatchRegister:
             raise OwnershipError(f"qubit {handle.index} is in transit and cannot be operated on")
         if by is not None and handle.owner != by:
             raise OwnershipError(f"qubit {handle.index} is owned by {handle.owner!r}, not {by!r}")
+        if handle.index not in self._live:
+            raise InvalidTargetError(f"qubit {handle.index} was measured and left the register")
 
     def _measure(self, basis: np.ndarray, handles: tuple[QubitHandle, ...], by: object,
                  uniforms: np.ndarray | None = None, outcomes: np.ndarray | None = None):
@@ -241,7 +208,7 @@ class BatchRegister:
 
         Samples each row's outcome from ``uniforms``, or forces ``outcomes``
         (InvalidTargetError when a forced outcome has probability <= ATOL).
-        The measured qubits are factored out. Returns the outcomes and their
+        The measured qubits leave the register. Returns the outcomes and their
         probabilities (renormalized when sampled).
         """
         for handle in handles:
@@ -249,9 +216,8 @@ class BatchRegister:
         if len(handles) == 2 and handles[0].index == handles[1].index:
             raise InvalidTargetError("measurement targets must be distinct qubits")
         qubits = [handle.index for handle in handles]
-        amps, live, restored = self._expanded(qubits)
         # A real basis acts on real and imaginary parts alike: one float GEMM on the float view.
-        mats = _leading(amps, live, qubits).view(np.float64)
+        mats = _leading(self._amps, self._live, qubits).view(np.float64)
         projected = (basis @ mats).view(complex).reshape(len(basis), -1, self.batch_size)
         probs = (projected.real * projected.real + projected.imag * projected.imag).sum(axis=1)
         rows = self._rows
@@ -265,10 +231,8 @@ class BatchRegister:
                 raise InvalidTargetError("projection onto a forced outcome has zero probability")
         chosen = np.take_along_axis(projected, outcomes[None, None, :], axis=0)[0]
         # numpy divides a complex by a real as a product with its reciprocal: the same values, faster
-        self._store(chosen * (1.0 / np.sqrt(picked)), [q for q in live if q not in qubits], restored)
-        group = (tuple(qubits), basis, outcomes.copy())  # the caller may change the returned outcomes
-        for q in qubits:
-            self._factored[q] = group
+        self._amps = chosen * (1.0 / np.sqrt(picked))
+        self._live = [q for q in self._live if q not in qubits]
         return outcomes, picked
 
     def bsm(self, h1: QubitHandle, h2: QubitHandle, uniforms: np.ndarray, by: object = None) -> np.ndarray:
@@ -296,11 +260,10 @@ class BatchRegister:
         k, k_prime = np.asarray(k, dtype=np.intp), np.asarray(k_prime, dtype=np.intp)
         if ((k | k_prime) & ~1).any():
             raise ValueError("frame exponents k and k_prime must be 0 or 1")
-        amps, live, restored = self._expanded([handle.index])
-        axis = live.index(handle.index)
-        zero, one = np.moveaxis(amps.reshape([2] * len(live) + [-1]), axis, 0)
+        axis = self._live.index(handle.index)
+        zero, one = np.moveaxis(self._amps.reshape([2] * len(self._live) + [-1]), axis, 0)
         zero, one = np.where(k_prime, one, zero), np.where(k_prime, zero, one)
-        self._store(np.stack([zero, np.where(k, -one, one)], axis=axis).reshape(amps.shape), live, restored)
+        self._amps = np.stack([zero, np.where(k, -one, one)], axis=axis).reshape(self._amps.shape)
 
     def reduced_state(self, handle: QubitHandle) -> np.ndarray:
         """Each row's pure state of one qubit, (batch, 2), defined up to phase.
@@ -308,8 +271,8 @@ class BatchRegister:
         Raises NotProductError when the qubit is entangled with the rest of a
         row (second Schmidt value above ``ATOL``).
         """
-        amps, live, _ = self._expanded([handle.index])
-        mats = _leading(amps, live, [handle.index]).reshape(2, -1, self.batch_size).transpose(2, 0, 1)
+        self._check_access(handle, None)
+        mats = _leading(self._amps, self._live, [handle.index]).reshape(2, -1, self.batch_size).transpose(2, 0, 1)
         left, singulars, _ = np.linalg.svd(mats, full_matrices=False)
         if singulars.shape[1] > 1 and singulars[:, 1].max() > ATOL:
             raise NotProductError(f"qubit {handle.index} is entangled with the rest of a row "

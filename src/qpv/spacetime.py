@@ -144,12 +144,12 @@ class Timeline:
 
     # -- values -------------------------------------------------------------
 
-    def new_value(self, actor: Actor, name: str, payload: Any, time: float | None = None) -> ClassicalValue:
-        """Register a classical value created locally at ``actor``."""
-        t = self.now if time is None else time
-        value = ClassicalValue(vid=len(self.values), name=name, payload=payload, created_by=actor.id, created_at=t)
+    def new_value(self, actor: Actor, name: str, payload: Any) -> ClassicalValue:
+        """Register a classical value created locally at ``actor`` now."""
+        value = ClassicalValue(vid=len(self.values), name=name, payload=payload, created_by=actor.id,
+                               created_at=self.now)
         self.values.append(value)
-        self.ledger.record(actor.id, value, t)
+        self.ledger.record(actor.id, value, self.now)
         return value
 
     def read(self, actor: Actor, value: ClassicalValue) -> Any:
@@ -217,8 +217,7 @@ class Timeline:
         if handler is not None:
             handler(message)
 
-    def collapse_notice(self, site: Actor, qubits: Iterable[QubitHandle], detail: str = "",
-                        time: float | None = None) -> None:
+    def collapse_notice(self, site: Actor, qubits: Iterable[QubitHandle], detail: str = "") -> None:
         """Record that a measurement at ``site`` collapsed the listed qubits.
 
         Collapse is non-local: the global state already changed everywhere.
@@ -226,7 +225,7 @@ class Timeline:
         outcome; other actors learn it via messages alone.
         """
         indices = ",".join(str(q.index) for q in qubits)
-        self._log(self.now if time is None else time, site.name, "collapse", f"qubits[{indices}] {detail}".strip())
+        self._log(self.now, site.name, "collapse", f"qubits[{indices}] {detail}".strip())
 
     # -- run loop -------------------------------------------------------------
 

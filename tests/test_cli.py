@@ -125,8 +125,13 @@ class TestConfigFile:
         ("run", {"deadline_slack": float("nan")}, "deadline_slack"),
         ("montecarlo", {"scenario": "honest", "x": 1e308, "delta": 1, "n": [1]}, "x must be"),
         ("attack", {"strategy": "cheat_w_prime"}, "strategy must be one of"),
+        ("montecarlo", {"format": "xml", "scenario": "guess", "n": [1, 2, 4], "workers": 1}, "unknown report format"),
     ])
-    def test_rejected(self, tmp_path, capsys, command, settings, key):
+    def test_rejected(self, tmp_path, capsys, monkeypatch, command, settings, key):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a rejected config ran the Monte Carlo grid")
+
+        monkeypatch.setattr(cli, "run_experiment", no_grid)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(settings))
         assert main([command, "--config", str(path), "--n", "2"] if command == "attack" else

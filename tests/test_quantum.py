@@ -4,6 +4,8 @@ The reference for every register operation is the dense algebra in
 :mod:`qpv.oracles`; a single register is a one-row ``BatchRegister``.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +56,14 @@ def inverse_cdf(probs: np.ndarray, u: float) -> int:
     return int(np.argmax(np.cumsum(probs) > u * probs.sum()))
 
 
+def assert_refused(reg: BatchRegister, operation) -> None:
+    """``operation`` touches a measured qubit: InvalidTargetError, and ``states`` stays byte-identical."""
+    before = reg.states.tobytes()
+    with pytest.raises(InvalidTargetError, match="measured"):
+        operation()
+    assert reg.states.tobytes() == before
+
+
 class TestMakeBell:
     @pytest.mark.parametrize(
         "a,b,expected",
@@ -100,14 +110,15 @@ class TestStateVector:
 
 class TestBsm:
     def test_bell_state_projects_onto_itself(self):
-        reg = BatchRegister(4)
-        h1, h2 = reg.append_bell(np.arange(4))
-        before = reg.states.copy()
-        np.testing.assert_allclose(reg.project_bell(h1, h2, np.arange(4)), 1.0, atol=ATOL)
-        outcomes = reg.bsm(h1, h2, np.full(4, 0.5))
+        forced, sampled = BatchRegister(4), BatchRegister(4)
+        np.testing.assert_allclose(forced.project_bell(*forced.append_bell(np.arange(4)), np.arange(4)), 1.0, atol=ATOL)
+        outcomes = sampled.bsm(*sampled.append_bell(np.arange(4)), np.full(4, 0.5))
         np.testing.assert_array_equal(outcomes, np.arange(4))
         for row in range(4):
-            assert oracles.equal_up_to_phase(reg.states[row], before[row])
+            prob, rest = oracles.dense_project(bell_target(row), bell_target(row), (0, 1))
+            assert abs(prob - 1.0) < ATOL
+            np.testing.assert_allclose(forced.states[row], rest, atol=ATOL)
+            np.testing.assert_allclose(sampled.states[row], rest, atol=ATOL)
 
     def test_plus_plus_distribution(self):
         state = np.kron(PLUS, PLUS)
@@ -210,7 +221,8 @@ class TestHadamardMeasure:
         q = reg.append_qubit(PLUS)
         bits = reg.hadamard_measure(q, [0.01, 0.5, 0.99])
         np.testing.assert_array_equal(bits, 0)
-        np.testing.assert_allclose(reg.states, np.tile(PLUS, (3, 1)), atol=ATOL)
+        _, rest = oracles.dense_project(PLUS, PLUS, (0,))
+        np.testing.assert_allclose(reg.states, np.tile(rest, (3, 1)), atol=ATOL)
 
     def test_zero_state_even_split(self):
         zero = np.array([1.0, 0.0], dtype=complex)
@@ -431,10 +443,10 @@ class TestBatchRegister:
             state = np.kron(bell_target(labels[row]), oracles.hadamard_state(payload_bits[row]))
             probs = [oracles.dense_project(state, bell_target(o), (2, 0))[0] for o in range(4)]
             assert inverse_cdf(np.array(probs), u_bsm[row]) == outcomes[row]
-            _, state = oracles.dense_project(state, bell_target(outcomes[row]), (2, 0))
-            probs = [oracles.dense_project(state, oracles.hadamard_state(b), (1,))[0] for b in (0, 1)]
+            _, state = oracles.dense_project(state, bell_target(outcomes[row]), (2, 0))  # left: qubit 1
+            probs = [oracles.dense_project(state, oracles.hadamard_state(b), (0,))[0] for b in (0, 1)]
             assert inverse_cdf(np.array(probs), u_meas[row]) == bits[row]
-            _, state = oracles.dense_project(state, oracles.hadamard_state(bits[row]), (1,))
+            _, state = oracles.dense_project(state, oracles.hadamard_state(bits[row]), (0,))
             np.testing.assert_allclose(batch.states[row], state, atol=ATOL)
 
     def test_norms_preserved(self):
@@ -459,7 +471,10 @@ def drawn_qubit(code: int) -> np.ndarray:
 
 
 class TestDenseOracle:
-    """Random operation sequences on 1-4 rows against the dense oracle, row by row, phase included."""
+    """Random operation sequences on 1-4 rows against the dense oracle, row by row, phase included.
+
+    Steps may target measured qubits; those must be refused and leave the register as it was.
+    """
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -471,6 +486,7 @@ class TestDenseOracle:
 
         reg = BatchRegister(rows)
         dense = [np.ones(1, dtype=complex) for _ in range(rows)]
+        live = []  # handle index of each qubit of the dense states, ascending
         for _ in range(data.draw(st.integers(1, 8), label="steps")):
             n = reg.num_qubits
             kinds = [kind for kind, ok in (("bell", n + 2 <= MAX_DRAWN_QUBITS), ("qubit", n < MAX_DRAWN_QUBITS),
@@ -481,16 +497,22 @@ class TestDenseOracle:
                 labels = data.draw(per_row(st.integers(0, 3)), label="labels")
                 reg.append_bell(labels)
                 dense = [np.kron(state, bell_target(label)) for state, label in zip(dense, labels)]
+                live += [n, n + 1]
             elif kind == "qubit":
                 qubits = [drawn_qubit(code) for code in data.draw(per_row(st.integers(-4, 2 ** 16)), label="qubits")]
                 reg.append_qubit(np.array(qubits))
                 dense = [np.kron(state, qubit) for state, qubit in zip(dense, qubits)]
+                live.append(n)
             elif kind == "frame":
                 q = data.draw(st.integers(0, n - 1), label="qubit")
                 k, k_prime = (np.array(data.draw(per_row(st.integers(0, 1)), label=name)) for name in ("k", "k'"))
-                reg.apply_frame(reg.handles[q], k, k_prime)
-                dense = [oracles.dense_operator({q: oracles.pauli_matrix(k[row], k_prime[row])}, n) @ dense[row]
-                         for row in range(rows)]
+                frame = partial(reg.apply_frame, reg.handles[q], k, k_prime)
+                if q not in live:
+                    assert_refused(reg, frame)
+                    continue
+                frame()
+                dense = [oracles.dense_operator({live.index(q): oracles.pauli_matrix(k[row], k_prime[row])}, len(live))
+                         @ dense[row] for row in range(rows)]
             else:
                 if kind == "hadamard":
                     qubits = (data.draw(st.integers(0, n - 1), label="qubit"),)
@@ -502,22 +524,30 @@ class TestDenseOracle:
                 handles = [reg.handles[q] for q in qubits]
                 if kind == "project_bell":
                     outcomes = np.array(data.draw(per_row(st.integers(0, 3)), label="outcomes"))
-                    expected = [oracles.dense_project(dense[row], targets[outcomes[row]], qubits)[0]
+                    measure = partial(reg.project_bell, *handles, outcomes)
+                else:
+                    uniforms = np.array(data.draw(per_row(UNIFORMS), label="uniforms"))
+                    measure = partial(reg.bsm if kind == "bsm" else reg.hadamard_measure, *handles, uniforms)
+                if not set(qubits) <= set(live):
+                    assert_refused(reg, measure)
+                    continue
+                positions = tuple(map(live.index, qubits))
+                if kind == "project_bell":
+                    expected = [oracles.dense_project(dense[row], targets[outcomes[row]], positions)[0]
                                 for row in range(rows)]
                     if min(expected) <= ATOL:
                         before = reg.states.copy()
                         with pytest.raises(InvalidTargetError, match="zero probability"):
-                            reg.project_bell(*handles, outcomes)
+                            measure()
                         np.testing.assert_array_equal(reg.states, before)
                         continue
-                    np.testing.assert_allclose(reg.project_bell(*handles, outcomes), expected, atol=ATOL)
+                    np.testing.assert_allclose(measure(), expected, atol=ATOL)
                 else:
-                    uniforms = np.array(data.draw(per_row(UNIFORMS), label="uniforms"))
-                    measure = reg.bsm if kind == "bsm" else reg.hadamard_measure
-                    outcomes = measure(*handles, uniforms)
+                    outcomes = measure()
                 for row in range(rows):
-                    prob, dense[row] = oracles.dense_project(dense[row], targets[outcomes[row]], qubits)
+                    prob, dense[row] = oracles.dense_project(dense[row], targets[outcomes[row]], positions)
                     assert prob > ATOL
+                live = [q for q in live if q not in qubits]
             for row in range(rows):
                 np.testing.assert_allclose(reg.states[row], dense[row], atol=ATOL)
 
@@ -540,11 +570,12 @@ class TestBatchSampler:
         outcomes = batch.bsm(batch.handles[q1], batch.handles[q2], u_bsm)
         middle = batch.states.copy()
         bits = batch.hadamard_measure(batch.handles[q3], u_had)
+        position = sorted({*range(5)} - {q1, q2}).index(q3)  # of q3 among the qubits the BSM left
         for row in range(len(rows)):
             prob, post = oracles.dense_project(before[row], bell_target(outcomes[row]), (q1, q2))
             assert prob > ATOL
             np.testing.assert_allclose(post, middle[row], atol=ATOL)
-            prob, _ = oracles.dense_project(middle[row], oracles.hadamard_state(bits[row]), (q3,))
+            prob, _ = oracles.dense_project(middle[row], oracles.hadamard_state(bits[row]), (position,))
             assert prob > ATOL
             np.testing.assert_allclose(np.linalg.norm(batch.states[row]), 1.0, atol=ATOL)
 
@@ -559,7 +590,7 @@ class TestBatchSampler:
 
 
 class TestFactoredQubits:
-    """Measured qubits leave the live amplitudes; touching one again multiplies its group back in."""
+    """A measurement factors its qubits out of the register for good: touching one again is refused."""
 
     def setup_method(self):
         # rows of a random payload on qubit 0 and bell(label) on qubits 1, 2
@@ -569,57 +600,38 @@ class TestFactoredQubits:
         self.reg, self.payload, self.sender, self.receiver = teleport_register(self.payloads, self.labels)
         self.dense = [np.kron(payload, bell_target(label)) for label, payload in zip(self.labels, self.payloads)]
 
-    def check_states(self):
-        for row, state in enumerate(self.dense):
-            np.testing.assert_allclose(self.reg.states[row], state, atol=ATOL)
-
-    def test_states_view_only_while_nothing_is_factored(self):
+    def test_states_is_a_view_after_a_measurement(self):
         self.reg.states[0] *= -1  # a global phase, written through the view
         np.testing.assert_allclose(self.reg.states[0], -self.dense[0], atol=ATOL)
-        self.reg.bsm(self.payload, self.sender, np.full(4, 0.3))
-        before = self.reg.states.copy()
-        self.reg.states[0] *= -1  # written to a product copy: the register keeps its state
-        np.testing.assert_array_equal(self.reg.states, before)
-        assert self.reg.num_qubits == 3 and before.shape == (4, 8)
+        outcomes = self.reg.bsm(self.payload, self.sender, np.full(4, 0.3))
+        assert self.reg.num_qubits == 3 and self.reg.states.shape == (4, 2)
+        self.reg.states[1] *= -1  # written through the view again: the register changes
+        for row in range(4):
+            _, rest = oracles.dense_project(self.dense[row], bell_target(outcomes[row]), (0, 1))
+            np.testing.assert_allclose(self.reg.states[row], -rest if row < 2 else rest, atol=ATOL)
 
-    def test_bsm_then_remeasure_one_qubit(self):
-        outcomes = self.reg.bsm(self.payload, self.sender, np.array([0.1, 0.3, 0.6, 0.9]))
+    def test_measured_qubit_is_refused(self):
+        self.reg.bsm(self.payload, self.sender, np.full(4, 0.6))
+        k = np.array([0, 1, 0, 1])
+        for handle in (self.payload, self.sender):
+            assert_refused(self.reg, partial(self.reg.bsm, handle, self.receiver, np.full(4, 0.5)))
+            assert_refused(self.reg, partial(self.reg.project_bell, self.receiver, handle, np.zeros(4, dtype=int)))
+            assert_refused(self.reg, partial(self.reg.hadamard_measure, handle, np.full(4, 0.5)))
+            assert_refused(self.reg, partial(self.reg.apply_frame, handle, k, 1 - k))
+            assert_refused(self.reg, partial(self.reg.reduced_state, handle))
+        assert_refused(self.reg, partial(self.reg.bsm, self.payload, self.sender, np.full(4, 0.5)))
+        # the unmeasured receiver is still usable
+        received = self.reg.reduced_state(self.receiver)
+        self.reg.apply_frame(self.receiver, k, 1 - k)
+        frame = [oracles.pauli_matrix(k[row], 1 - k[row]) for row in range(4)]
         for row in range(4):
-            prob, self.dense[row] = oracles.dense_project(self.dense[row], bell_target(outcomes[row]), (0, 1))
-            assert prob > ATOL
-        self.check_states()
-        uniforms = np.array([0.2, 0.5, 0.7, 0.95])
-        bits = self.reg.hadamard_measure(self.sender, uniforms)
-        for row in range(4):
-            probs = [oracles.dense_project(self.dense[row], oracles.hadamard_state(b), (1,))[0] for b in (0, 1)]
-            np.testing.assert_allclose(probs, 0.5, atol=ATOL)  # half of a Bell pair
-            assert inverse_cdf(np.array(probs), uniforms[row]) == bits[row]
-            _, self.dense[row] = oracles.dense_project(self.dense[row], oracles.hadamard_state(bits[row]), (1,))
-        self.check_states()
-
-    def test_hadamard_measure_then_frame_and_reduced_state(self):
-        bits = self.reg.hadamard_measure(self.payload, np.array([0.1, 0.4, 0.6, 0.9]))
-        for row in range(4):
-            _, self.dense[row] = oracles.dense_project(self.dense[row], oracles.hadamard_state(bits[row]), (0,))
-        k, k_prime = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
-        self.reg.apply_frame(self.payload, k, k_prime)
-        received = self.reg.reduced_state(self.payload)
-        for row in range(4):
-            frame = oracles.pauli_matrix(k[row], k_prime[row])
-            self.dense[row] = oracles.dense_operator({0: frame}, 3) @ self.dense[row]
-            expected = frame @ oracles.hadamard_state(bits[row])
-            assert oracles.equal_up_to_phase(received[row], expected)
-        self.check_states()
-
-    def test_changing_returned_outcomes_leaves_the_register(self):
-        outcomes = self.reg.bsm(self.payload, self.sender, np.full(4, 0.6))
-        before = self.reg.states.copy()
-        outcomes ^= 3
-        np.testing.assert_array_equal(self.reg.states, before)
+            assert oracles.equal_up_to_phase(self.reg.states[row], frame[row] @ received[row])
+        assert self.reg.hadamard_measure(self.receiver, np.full(4, 0.5)).shape == (4,)
+        assert self.reg.states.shape == (4, 1)
 
     def test_qubit_factored_within_a_bell_pair_is_not_a_product(self):
         outcomes = self.reg.bsm(self.payload, self.sender, np.full(4, 0.6))
-        with pytest.raises(NotProductError):
+        with pytest.raises(InvalidTargetError, match="measured"):
             self.reg.reduced_state(self.sender)
         # the receiver now holds the teleported payload, a product state
         received = self.reg.reduced_state(self.receiver)

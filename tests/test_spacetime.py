@@ -179,7 +179,8 @@ class TestMechanicalCheck:
 
     def test_tampered_log_is_flagged(self):
         tl = self._clean_run()
-        secret = tl.new_value(V1, "late_secret", 1, time=5.0)
+        tl.now = 5.0
+        secret = tl.new_value(V1, "late_secret", 1)
         tl.messages.append(Message(P2, V2, emit_time=0.0, arrival_time=0.9, kind="forged", values=(secret,)))
         violations = verify_causality(tl)
         assert len(violations) == 1 and "late_secret" in violations[0]

@@ -19,24 +19,37 @@ The grid:
   rounding step past, the deadline, and colluder offsets at the float
   resolution of 2x;
 * ``experiment/...``: ``render_json`` of the Monte Carlo specs the test
-  suite runs (most of the script's few seconds).
+  suite runs;
+* ``stdout/...``: what a user sees, the stdout of the five demos and of
+  ``qpv selftest``. Each runs as a subprocess against the ``qpv`` package
+  this script imported (the demos of that package's checkout), in a fresh
+  temporary directory because demo 05 writes a CSV file there. Demo 03 takes
+  most of the script's run time.
 
-It uses only the public run functions, so it runs unchanged on older
-checkouts that have them.
+It uses only the public run functions and the command line, so it runs
+unchanged on older checkouts that have them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+import qpv
 from qpv.adversary import AttackConfig, run_attack, run_attack_batch
 from qpv.analysis import SCENARIOS, ExperimentSpec, render_json, run_experiment, trial_keys
 from qpv.protocol import VARIANTS, ProtocolConfig, run_honest, run_honest_batch, transcripts_to_json
 from qpv.spacetime import format_event_log
 
+SRC = Path(qpv.__file__).resolve().parents[1]
+DEMOS = sorted((SRC.parent / "demos").glob("[0-9]*.py"))
 SEEDS = range(6)
 N = 4
 BATCH_TRIALS = 64
@@ -76,6 +89,13 @@ def single_run(scenario: str, protocol: ProtocolConfig, seed: int, diagnostic: b
     return "\n".join([transcripts_to_json(transcripts), format_event_log(events), repr(verdict), extra])
 
 
+def stdout(*args: str) -> str:
+    """Stdout of ``python args`` against the imported package, run in a fresh directory."""
+    with tempfile.TemporaryDirectory() as cwd:
+        return subprocess.run([sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, check=True).stdout
+
+
 def batch(scenario: str, protocol: ProtocolConfig, diagnostic: bool) -> str:
     keys = trial_keys(7, scenario, protocol.n, np.arange(BATCH_TRIALS))
     if scenario == "honest":
@@ -110,6 +130,9 @@ def cases():
         spec = ExperimentSpec(scenario=scenario, n_values=n_values, trials=trials, master_seed=seed)
         yield (f"experiment/{scenario}/n={','.join(map(str, n_values))}/trials={trials}/seed={seed}",
                lambda s=spec: render_json(run_experiment(s)))
+    for demo in DEMOS:
+        yield f"stdout/{demo.name}", lambda d=demo: stdout(str(d))
+    yield "stdout/qpv selftest", lambda: stdout("-m", "qpv.cli", "selftest")
 
 
 def main() -> None:
