@@ -24,6 +24,8 @@ import io
 import json
 import math
 import os
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -175,24 +177,28 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run the full grid; deterministic given the spec and master seed.
 
     ``workers`` > 1 splits each n's trials into ``min(workers, trials, CPU
-    count)`` strided shards. The caller runs shard 0 itself while one process
-    per other shard runs that shard and sends back its counts; an exception
-    in a shard process is raised in the caller. Results are identical either
-    way, because every trial owns a derived key and only counts are
-    aggregated.
+    count)`` strided shards; 0 means one shard and a negative count is a
+    ValueError. The caller runs shard 0 itself while a worker process per
+    other shard runs that shard and sends back its counts; an exception in a
+    worker is raised in the caller. Results are identical either way, because
+    every trial owns a derived key and only counts are aggregated.
+
+    Workers are started by the first grid that needs them and reused by every
+    later one. Only a process that runs more than one fanned-out grid gains
+    from that: its first grid still forks, so ``qpv montecarlo``, one grid per
+    process, costs what it did, while a loop of grids in one process (a
+    library caller, the benchmark's ``mc_parallel``) skips the fork on every
+    later grid. A worker runs the module as it was when the worker started:
+    it does not see state patched afterwards. Fanned-out grids run one at a
+    time, whatever the number of calling threads. A worker that dies is
+    replaced at the next call; an error or interrupt during a grid stops every
+    worker, so that no later grid reads an answer owed to this one.
     """
     spec.validate()
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     shards = max(1, min(workers or 1, spec.trials, os.cpu_count() or 1))
-    helpers = []
-    try:
-        for shard in range(1, shards):
-            helpers.append(_start_shard(spec, shard, shards))
-        counts = [_shard_counts(spec, 0, shards), *(_received(*helper) for helper in helpers)]
-    finally:
-        for process, receiver in helpers:
-            receiver.close()
-            process.terminate()  # a shard that sent its counts is done; this stops one left running by an error
-            process.join()
+    counts = _fanned_out(spec, shards) if shards > 1 else [_shard_counts(spec, 0, 1)]
     result = ExperimentResult(spec=spec)
     result.rows = [_make_row(spec, n, int(total)) for n, total in zip(spec.n_values, np.sum(counts, axis=0))]
     return result
@@ -206,40 +212,95 @@ def _shard_counts(spec: ExperimentSpec, shard: int, shards: int) -> list[int]:
             for n in spec.n_values]
 
 
-def _start_shard(spec: ExperimentSpec, shard: int, shards: int):
-    """A started process running one shard, and the receiving end of the pipe it answers on.
+# Warm shard workers: (process, the caller's end of its pipe), worker k - 1 serving shard k.
+_workers: list = []
+_workers_lock = threading.Lock()
 
-    A process and a pipe, not a ``multiprocessing.Pool``: a pool's start-up and
-    teardown take about 10 ms, a sizeable share of a grid that runs in 100 ms.
-    """
+
+def _fanned_out(spec: ExperimentSpec, shards: int) -> list[list[int]]:
+    """The counts of every shard: shard 0 run by the caller, each other shard by a warm worker."""
+    with _workers_lock:
+        try:
+            helpers = _ready_workers(shards - 1)
+            for shard, (_, caller_end) in enumerate(helpers, 1):
+                caller_end.send((spec, shard, shards))
+            return [_shard_counts(spec, 0, shards), *(_received(*helper) for helper in helpers)]
+        except BaseException:
+            _stop_workers()  # a worker may still owe an answer; no later grid may read it
+            raise
+
+
+def _ready_workers(count: int) -> list:
+    """The first ``count`` workers, after dead ones are replaced and missing ones started."""
+    for worker in [worker for worker in _workers if not worker[0].is_alive()]:
+        _workers.remove(worker)
+        _stop(worker)
+    while len(_workers) < count:
+        _workers.append(_start_worker())
+    return _workers[:count]
+
+
+def _start_worker():
+    """A started worker process and the caller's end of the pipe it takes jobs and sends answers on."""
     import multiprocessing
 
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    process = multiprocessing.Process(target=_send_shard, args=(sender, spec, shard, shards), daemon=True)
+    caller_end, worker_end = multiprocessing.Pipe()
+    inherited = [caller_end, *(end for _, end in _workers)]
+    process = multiprocessing.Process(target=_serve_shards, args=(worker_end, inherited), daemon=True)
     process.start()
-    sender.close()
-    return process, receiver
+    worker_end.close()
+    return process, caller_end
 
 
-def _send_shard(sender, spec: ExperimentSpec, shard: int, shards: int) -> None:
-    """Body of a shard process: send the shard's counts, or the exception that stopped it."""
+def _serve_shards(connection, inherited) -> None:
+    """Body of a worker: answer each ``(spec, shard, shards)`` job until the caller's end closes.
+
+    The caller's ends of this and earlier workers' pipes are closed first: a
+    worker holding them would never see EOF, and would outlive a caller that
+    ends without cleaning up. Interrupts are left to the caller, which stops
+    its workers when one reaches it.
+    """
+    for end in inherited:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            job = connection.recv()
+        except EOFError:
+            return
+        connection.send(_answer(*job))
+
+
+def _answer(spec: ExperimentSpec, shard: int, shards: int):
+    """What a worker sends back: the shard's counts, or the exception that stopped it."""
     try:
-        sender.send(_shard_counts(spec, shard, shards))
+        return _shard_counts(spec, shard, shards)
     except Exception as exc:
-        sender.send(exc)
-    finally:
-        sender.close()
+        return exc
 
 
-def _received(process, receiver) -> list[int]:
-    """The counts a shard process sent; raises the exception it sent instead."""
+def _received(process, caller_end) -> list[int]:
+    """The counts a worker sent; raises the exception it sent instead."""
     try:
-        counts = receiver.recv()
+        counts = caller_end.recv()
     except EOFError:
         raise RuntimeError(f"shard process {process.pid} exited without sending its counts") from None
     if isinstance(counts, Exception):
         raise counts
     return counts
+
+
+def _stop(worker) -> None:
+    process, caller_end = worker
+    caller_end.close()
+    process.terminate()
+    process.join()
+
+
+def _stop_workers() -> None:
+    """Terminate and forget every worker; the next fanned-out grid starts fresh ones."""
+    while _workers:
+        _stop(_workers.pop())
 
 
 def _fmt(value: float) -> str:

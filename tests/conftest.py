@@ -1,9 +1,22 @@
-"""Shared fixture: verdicts of single-pair trials through ``protocol.judge``."""
+"""Shared fixtures: fresh shard workers for every test, and single-pair verdicts through ``protocol.judge``."""
 
 import numpy as np
 import pytest
 
+from qpv import analysis
 from qpv.protocol import VARIANT_TWO_BIT, MaterialStore, ProtocolConfig, deadline, judge
+
+
+@pytest.fixture(autouse=True)
+def fresh_workers():
+    """Stops the warm shard workers before and after every test.
+
+    A worker keeps the module state it started with, so a worker left by an
+    earlier test would not see this test's patches.
+    """
+    analysis._stop_workers()
+    yield
+    analysis._stop_workers()
 
 
 def _judge_slots(report, *, psi=None, l1=0, w=0, report_2=None, l2=0, ann=0, measured=None,

@@ -245,6 +245,15 @@ class TestMonteCarlo:
         assert code == 2
         assert "n must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source,workers", [("flag", -3), ("config", -1)])
+    def test_negative_workers_rejected(self, tmp_path, capsys, source, workers):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workers": workers}))
+        extra = ["--workers", str(workers)] if source == "flag" else ["--config", str(config)]
+        assert main(["montecarlo", "--n", "1", "--trials", "10", "--out", str(tmp_path / "r.json"), *extra]) == 2
+        assert f"workers must be >= 0, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_seed_out_of_range_rejected(self, tmp_path, capsys):
         for seed in ("-1", "1" * 30):
             code = main(["montecarlo", "--n", "1", "--trials", "10", "--seed", seed, "--workers", "2",

@@ -19,7 +19,9 @@ The grid:
   rounding step past, the deadline, and colluder offsets at the float
   resolution of 2x;
 * ``experiment/...``: ``render_json`` of the Monte Carlo specs the test
-  suite runs;
+  suite runs, at workers=1 and again at workers=2 and 3 (``.../workers=k``),
+  which cover the process fan-out; a fanned-out line must repeat the hash of
+  its workers=1 line, or the script exits 1 after printing every line;
 * ``stdout/...``: what a user sees, the stdout of the five demos and of
   ``qpv selftest``. Each runs as a subprocess against the ``qpv`` package
   this script imported (the demos of that package's checkout), in a fresh
@@ -128,17 +130,25 @@ def cases():
                        lambda s=scenario, p=protocol, d=delta: single_run(s, p, 1, delta=d))
     for scenario, n_values, trials, seed in EXPERIMENTS:
         spec = ExperimentSpec(scenario=scenario, n_values=n_values, trials=trials, master_seed=seed)
-        yield (f"experiment/{scenario}/n={','.join(map(str, n_values))}/trials={trials}/seed={seed}",
-               lambda s=spec: render_json(run_experiment(s)))
+        name = f"experiment/{scenario}/n={','.join(map(str, n_values))}/trials={trials}/seed={seed}"
+        yield name, lambda s=spec: render_json(run_experiment(s))
+        for workers in (2, 3):
+            yield f"{name}/workers={workers}", lambda s=spec, w=workers: render_json(run_experiment(s, workers=w))
     for demo in DEMOS:
         yield f"stdout/{demo.name}", lambda d=demo: stdout(str(d))
     yield "stdout/qpv selftest", lambda: stdout("-m", "qpv.cli", "selftest")
 
 
-def main() -> None:
+def main() -> int:
+    hashes = {}
     for name, text in cases():
-        print(name, sha(text()), flush=True)
+        hashes[name] = sha(text())
+        print(name, hashes[name], flush=True)
+    differ = [name for name in hashes if "/workers=" in name and hashes[name] != hashes[name.rsplit("/", 1)[0]]]
+    for name in differ:
+        print(f"{name}: differs from workers=1", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
