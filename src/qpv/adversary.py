@@ -80,8 +80,8 @@ class _ColluderPair:
     def __init__(self, core: TrialCore, config: AttackConfig):
         self.core = core
         self.config = config
-        self.p1 = Actor(TrialCore.ACTOR_P1, "P1", "adversary", core.x - config.delta)
-        self.p2 = Actor(TrialCore.ACTOR_P2, "P2", "adversary", core.x + config.delta)
+        self.p1 = Actor(TrialCore.ACTOR_P1, "P1", core.x - config.delta)
+        self.p2 = Actor(TrialCore.ACTOR_P2, "P2", core.x + config.delta)
         self.agreement_time: float | None = None
 
     def actors(self) -> list[Actor]:
@@ -93,10 +93,10 @@ class _GuessStrategy(_ColluderPair):
 
     P2 teleports its guessed eigenstate over the intercepted half immediately
     and relays its announcement to P1, who forwards it to V1 together with
-    P1's true measurement, so every required material arrives on time and the
+    P1's true measurement, so both verifiers' responses arrive on time and the
     only probabilistic element is whether the guess matches the true report.
-    P1 also forwards its own report toward V2; it arrives after the deadline
-    and the first-arrival rule ignores it.
+    P1 also sends its response toward V2; it arrives after P2's, and V2 keeps
+    the first.
     """
 
     def install(self) -> None:
@@ -118,15 +118,11 @@ class _GuessStrategy(_ColluderPair):
             pp2 = core.reg_v2side.bsm(fresh, core.q_p2, core.sample_uniforms(), by=self.p2.id)
             tl.collapse_notice(self.p2, [core.q_v2], "guessed eigenstates teleported to V2")
             ann_value = tl.new_value(self.p2, "announcement", announcement(pp2, core.config.variant))
-            tl.send(self.p2, core.v2, "prover_response", values=[guess_value, ann_value], handler=core.v2_receive)
+            core.send_response(self.p2, [core.v2], guess_value, ann_value)
             tl.send(self.p2, self.p1, "collusion", values=[ann_value], handler=on_relay)
 
         def on_relay(message) -> None:
-            ann_value = message.values[0]
-            tl.send(self.p1, core.v1, "prover_response", values=[self.report_value, ann_value],
-                    handler=core.v1_receive)
-            tl.send(self.p1, core.v2, "prover_response", values=[self.report_value, ann_value],
-                    handler=core.v2_receive)
+            core.send_response(self.p1, [core.v1, core.v2], self.report_value, message.values[0])
 
         core.schedule_verifier_prep(self.p1, on_p1_half, self.p2, on_p2_half)
 
@@ -206,15 +202,12 @@ class _SwapForwardStrategy(_ColluderPair):
 
         def on_swap_outcome(message) -> None:
             # P2 now holds everything: send exact responses to V2 (on time)
-            # and duplicates toward V1 (arriving at 2x + 2*delta).
+            # and a copy toward V1 (arriving at 2x + 2*delta).
             measured, onward = self.local_value.payload
             reports, announcements = corrected(measured, onward, message.values[0].payload)
             report_value = tl.new_value(self.p2, "state_report", reports)
             ann_value = tl.new_value(self.p2, "announcement", announcement(announcements, core.config.variant))
-            tl.send(self.p2, core.v2, "prover_response", values=[report_value, ann_value],
-                    handler=core.v2_receive)
-            tl.send(self.p2, core.v1, "prover_response", values=[report_value, ann_value],
-                    handler=core.v1_receive)
+            core.send_response(self.p2, [core.v2, core.v1], report_value, ann_value)
 
         def on_local_outcomes(message) -> None:
             # P1 has both halves of the collusion data; V1's nearest correct
@@ -227,8 +220,7 @@ class _SwapForwardStrategy(_ColluderPair):
             reports, announcements = corrected(measured, onward, self.swap_value.payload)
             report_value = tl.new_value(self.p1, "state_report", reports)
             ann_value = tl.new_value(self.p1, "announcement", announcement(announcements, core.config.variant))
-            tl.send(self.p1, core.v1, "prover_response", values=[report_value, ann_value],
-                    handler=core.v1_receive)
+            core.send_response(self.p1, [core.v1], report_value, ann_value)
 
         def p2_share_local() -> None:
             tl.send(self.p2, self.p1, "collusion", values=[self.local_value], handler=on_local_outcomes)
@@ -286,7 +278,7 @@ def run_attack(
     events = _execute(core, strategy)
     return AttackOutcome(
         verdict=_verdicts(core, diagnostic)[0],
-        earliest_complete_response_time=completion_time(core.config, core.materials_v1, core.materials_v2),
+        earliest_complete_response_time=completion_time(core.materials_v1, core.materials_v2),
         agreement_time=strategy.agreement_time,
         transcripts=core.build_transcripts(),
         events=events,

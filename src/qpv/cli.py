@@ -2,7 +2,7 @@
 
 Flags override values from an optional JSON config file whose keys mirror the
 config dataclass fields. Config values are checked, not coerced: an int must be
-a JSON integer, a flag a JSON boolean, and an unknown key is an error (exit 2).
+a JSON integer, and an unknown key is an error (exit 2).
 Every subcommand is deterministic under a fixed seed.
 """
 
@@ -23,10 +23,10 @@ from .spacetime import format_event_log
 _BIT_GLYPH = {0: "+", 1: "-", None: "?"}
 
 
-_RUN_KEYS = ("n", "x", "variant", "deadline_slack", "strict_duplicates", "seed")
+_RUN_KEYS = ("n", "x", "variant", "deadline_slack", "seed")
 _ATTACK_KEYS = (*_RUN_KEYS, "strategy", "delta", "rounds", "preshared_pairs")
 _MONTECARLO_KEYS = ("scenario", "n", "trials", "seed", "x", "delta", "rounds", "variant", "workers", "format", "out")
-_KINDS = {int: "an int", float: "a number", bool: "a JSON boolean", str: "a string"}
+_KINDS = {int: "an int", float: "a number", str: "a string"}
 
 
 def _merged(args: argparse.Namespace, known: tuple[str, ...]) -> dict:
@@ -52,11 +52,7 @@ def _typed(name: str, value, kind: type):
 
     A bool is neither an int nor a number here; a number is returned as a float.
     """
-    if kind is bool:
-        valid = isinstance(value, bool)
-    else:
-        valid = isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
-    if not valid:
+    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool):
         raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     return float(value) if kind is float else value
 
@@ -72,7 +68,6 @@ def _protocol_config(settings: dict) -> ProtocolConfig:
         x=_typed("x", settings.get("x", 1.0), float),
         variant=_name(settings, "variant", "two_bit"),
         deadline_slack=_typed("deadline_slack", settings.get("deadline_slack", 0.0), float),
-        strict_duplicates=_typed("strict_duplicates", settings.get("strict_duplicates", False), bool),
     )
 
 

@@ -19,13 +19,19 @@ measured Hadamard eigenstate; the physical state report is carried as the
 measurement bit, which is lossless for |+>/|-> challenges. The verifiers'
 checks and the verdict pooling are shared verbatim with the adversary runs.
 
+Material model: a prover's response is one ``prover_response`` message that
+carries its state report and its announcement together, so each verifier
+keeps one response, report and announcement with one arrival time: the first
+to arrive (deliveries run in time order). Every prover, honest or colluding,
+sends through :meth:`TrialCore.send_response`.
+
 Deadline rule: the verdict is computed once, after the run is quiescent. A
-material (a report or announcement copy at either verifier) is usable iff its
-first arrival time is finite and <= 2x/c + slack. The comparison is exact,
-with ties accepted and no tolerance, so a response that meets the deadline
-only up to float rounding can land on either side (x = 0.3 with
-slack = prover delay = 0.7 arrives after the deadline and is rejected). A
-caller who needs a margin sets the slack.
+verifier's response is usable iff its arrival time is finite and
+<= 2x/c + slack. The comparison is exact, with ties accepted and no
+tolerance, so a response that meets the deadline only up to float rounding
+can land on either side (x = 0.3 with slack = prover delay = 0.7 arrives
+after the deadline and is rejected). A caller who needs a margin sets the
+slack.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 from .philox import key_words, philox4x32, seed_keys
 from . import quantum
 from .quantum import BatchRegister, is_label
-from .spacetime import Actor, CausalityViolationError, Event, Timeline, verify_causality
+from .spacetime import Actor, CausalityViolationError, ClassicalValue, Event, Timeline, verify_causality
 
 SPEED_OF_LIGHT = 1.0
 
@@ -72,7 +78,6 @@ class ProtocolConfig:
     bell_labels_v2: Sequence[int] | None = None
     variant: str = VARIANT_TWO_BIT
     deadline_slack: float = 0.0
-    strict_duplicates: bool = False
     prover_delay: float = 0.0  # fault injection: extra delay on the prover's response
 
     def validate(self) -> None:
@@ -157,36 +162,30 @@ def announcement(outcomes, variant: str):
     return outcomes if variant == VARIANT_TWO_BIT else outcomes >> 1
 
 
-def completion_time(config: ProtocolConfig, materials_v1: MaterialStore, materials_v2: MaterialStore) -> float:
-    """Latest first arrival among the materials the verdict requires.
-
-    Those are both reports, V2's announcement, and V1's announcement under
-    ``config.strict_duplicates``; inf while any of them is missing.
-    """
-    required = [materials_v1.report_time, materials_v2.report_time, materials_v2.announcement_time]
-    if config.strict_duplicates:
-        required.append(materials_v1.announcement_time)
-    return max(required)
+def completion_time(materials_v1: MaterialStore, materials_v2: MaterialStore) -> float:
+    """When both verifiers hold a response: the later of their arrival times; inf while either is missing."""
+    return max(materials_v1.time, materials_v2.time)
 
 
 class MaterialStore:
-    """Prover materials received by one verifier; first arrival of each kind wins."""
+    """The prover response one verifier keeps: report, announcement and arrival time of the first to arrive."""
 
     def __init__(self, n: int):
         self.report = np.full(n, _MISSING, dtype=np.int64)
-        self.report_time = math.inf
         self.announcement = np.full(n, _MISSING, dtype=np.int64)
-        self.announcement_time = math.inf
+        self.time = math.inf
 
-    def ingest_report(self, bits: np.ndarray, time: float) -> None:
-        if time < self.report_time:
-            self.report = np.asarray(bits, dtype=np.int64).copy()
-            self.report_time = time
+    def receive(self, report: np.ndarray, announcement: np.ndarray, time: float) -> bool:
+        """Keep this response if none was kept before; returns whether it was kept.
 
-    def ingest_announcement(self, values: np.ndarray, time: float) -> None:
-        if time < self.announcement_time:
-            self.announcement = np.asarray(values, dtype=np.int64).copy()
-            self.announcement_time = time
+        Deliveries run in time order, so the first response kept is the earliest.
+        """
+        if self.time < math.inf:
+            return False
+        self.report = np.asarray(report, dtype=np.int64).copy()
+        self.announcement = np.asarray(announcement, dtype=np.int64).copy()
+        self.time = time
+        return True
 
 
 def judge(
@@ -207,17 +206,16 @@ def judge(
     first (phase-flip) bit k, so each is an XOR over all slots at once: V1
     checks both report copies against ``psi ^ k(l1, w')``; V2 checks
     ``v2 == report_2 ^ k(l2, ann_2)``, where a one-bit announcement stands
-    for the outcome ``2 * ann_2``; the announcement duplicates must agree.
+    for the outcome ``2 * ann_2``; the two verifiers' announcements must agree.
 
-    A material is usable iff its first arrival time is finite and
-    <= ``deadline(config)`` = 2x/c + slack: exact, ties accepted, no
-    tolerance, so an arrival that meets the deadline only up to rounding can
-    land on either side; a caller who needs a margin sets the slack. A missing
-    or late required material (see :func:`completion_time`) fails on timing,
-    which outranks a v1 inconsistency (either report copy), which outranks a
-    v2 inconsistency (decode failure or mismatching duplicates). Duplicates are compared only
-    when both copies are usable; a missing one counts against the prover only
-    under ``config.strict_duplicates``.
+    Each verifier holds one response (see :class:`MaterialStore`). It is
+    usable iff its arrival time is finite and <= ``deadline(config)`` =
+    2x/c + slack: exact, ties accepted, no tolerance, so an arrival that meets
+    the deadline only up to rounding can land on either side; a caller who
+    needs a margin sets the slack. A missing or late response at either
+    verifier (see :func:`completion_time`) fails on timing, which outranks a
+    v1 inconsistency (either report copy), which outranks a v2 inconsistency
+    (decode failure or mismatching announcements).
     """
     cutoff = deadline(config)
 
@@ -225,7 +223,7 @@ def judge(
         return math.isfinite(time) and time <= cutoff
 
     trials = len(challenges) // config.n
-    if v2_measured is None or not usable(completion_time(config, materials_v1, materials_v2)):
+    if v2_measured is None or not usable(completion_time(materials_v1, materials_v2)):
         return [Verdict(False, REASON_TIMING, [False] * config.n) for _ in range(trials)]
 
     report_2, ann_2 = materials_v2.report, materials_v2.announcement
@@ -233,8 +231,7 @@ def judge(
     v1_bad = (materials_v1.report != expected) | (report_2 != expected)
     outcomes_2 = ann_2 if config.variant == VARIANT_TWO_BIT else ann_2 << 1
     v2_bad = v2_measured != report_2 ^ (quantum.pauli_frame_from(labels_v2, outcomes_2) >> 1)
-    if usable(materials_v1.announcement_time):  # a missing V1 copy is required only under strict duplicates
-        v2_bad |= materials_v1.announcement != ann_2
+    v2_bad |= materials_v1.announcement != ann_2
     passes = (~(v1_bad | v2_bad)).reshape(trials, config.n).tolist()
     v1_failed = v1_bad.reshape(trials, config.n).any(axis=1).tolist()
     verdicts = []
@@ -285,9 +282,9 @@ class TrialCore:
         self.slots = self.n * self.trials
         self._draws = 0
         self._block: tuple[np.ndarray, ...] = ()
-        self.v1 = Actor(self.ACTOR_V1, "V1", "verifier", 0.0)
-        self.v2 = Actor(self.ACTOR_V2, "V2", "verifier", 2.0 * config.x)
-        self.pool = Actor(self.ACTOR_POOL, "pool", "virtual", config.x)
+        self.v1 = Actor(self.ACTOR_V1, "V1", 0.0)
+        self.v2 = Actor(self.ACTOR_V2, "V2", 2.0 * config.x)
+        self.pool = Actor(self.ACTOR_POOL, "pool", config.x)
 
         if config.challenge_states is not None:
             fixed = np.asarray(config.challenge_states, dtype=np.int64)
@@ -373,21 +370,20 @@ class TrialCore:
 
         tl.schedule(self.x, self.v1, "teleport", teleport_challenges, "teleport challenges over channel 1")
 
-    # -- verifier-side reception ----------------------------------------------
+    # -- prover responses -----------------------------------------------------
 
-    def _ingest(self, store: MaterialStore, message) -> None:
-        for value in message.values:
-            if value.name == "state_report":
-                store.ingest_report(value.payload, message.arrival_time)
-            elif value.name == "announcement":
-                store.ingest_announcement(value.payload, message.arrival_time)
+    def send_response(self, sender: Actor, verifiers: Sequence[Actor], report_value: ClassicalValue,
+                      ann_value: ClassicalValue, emit_time: float | None = None) -> None:
+        """Send one ``prover_response`` carrying (report, announcement) from ``sender`` to each verifier, in order."""
+        for verifier in verifiers:
+            self.timeline.send(sender, verifier, "prover_response", values=[report_value, ann_value],
+                               handler=self._receive, emit_time=emit_time)
 
-    def v1_receive(self, message) -> None:
-        self._ingest(self.materials_v1, message)
-
-    def v2_receive(self, message) -> None:
-        self._ingest(self.materials_v2, message)
-        if self.v2_measured is None and math.isfinite(self.materials_v2.report_time):
+    def _receive(self, message) -> None:
+        """A verifier keeps its first response; V2 measures its halves when that arrives."""
+        store = self.materials_v1 if message.receiver is self.v1 else self.materials_v2
+        report, ann = (value.payload for value in message.values)
+        if store.receive(report, ann, message.arrival_time) and store is self.materials_v2:
             bits = self.reg_v2side.hadamard_measure(self.q_v2, self.sample_uniforms(), by=self.v2.id)
             self.v2_measured = bits
             self.v2_measured_at = self.timeline.now
@@ -415,15 +411,13 @@ class TrialCore:
             raise ValueError("transcripts are only assembled for single-trial runs")
         transcripts = []
         common = dict(self.timestamps)
-        common["report_v1_arrived"] = self.materials_v1.report_time
-        common["report_v2_arrived"] = self.materials_v2.report_time
-        common["announcement_v1_arrived"] = self.materials_v1.announcement_time
-        common["announcement_v2_arrived"] = self.materials_v2.announcement_time
+        for verifier, store in (("v1", self.materials_v1), ("v2", self.materials_v2)):
+            common[f"report_{verifier}_arrived"] = common[f"announcement_{verifier}_arrived"] = store.time
         common["v2_measured_at"] = self.v2_measured_at
         for i in range(self.n):
             w = int(self.w_prime[i])
-            ann = int(self.materials_v2.announcement[i]) if math.isfinite(self.materials_v2.announcement_time) else None
-            report = int(self.materials_v1.report[i]) if math.isfinite(self.materials_v1.report_time) else None
+            ann = int(self.materials_v2.announcement[i]) if math.isfinite(self.materials_v2.time) else None
+            report = int(self.materials_v1.report[i]) if math.isfinite(self.materials_v1.time) else None
             v2_out = int(self.v2_measured[i]) if self.v2_measured is not None else None
             transcripts.append(PairTranscript(w, ann, report, v2_out, self.config.variant, dict(common)))
         return transcripts
@@ -441,7 +435,7 @@ class _HonestProver:
 
     def __init__(self, core: TrialCore):
         self.core = core
-        self.actor = Actor(TrialCore.ACTOR_PROVER, "P", "prover", core.x)
+        self.actor = Actor(TrialCore.ACTOR_PROVER, "P", core.x)
         self._halves = 0
 
     def actors(self) -> list[Actor]:
@@ -469,10 +463,7 @@ class _HonestProver:
         ann_value = tl.new_value(self.actor, "announcement", announcement(pp, core.config.variant))
         emit = tl.now + core.config.prover_delay
         core.timestamps["response_emitted"] = emit
-        tl.send(self.actor, core.v1, "prover_response", values=[report_value, ann_value],
-                handler=core.v1_receive, emit_time=emit)
-        tl.send(self.actor, core.v2, "prover_response", values=[report_value, ann_value],
-                handler=core.v2_receive, emit_time=emit)
+        core.send_response(self.actor, [core.v1, core.v2], report_value, ann_value, emit_time=emit)
 
 
 def _execute(core: TrialCore, prover) -> list[Event]:

@@ -115,8 +115,7 @@ def check_reduction() -> list[str]:
         ann = protocol.announcement(outcome, variant)
         materials = protocol.MaterialStore(config.n), protocol.MaterialStore(config.n)
         for store in materials:
-            store.ingest_report(reported, protocol.deadline(config))
-            store.ingest_announcement(ann, protocol.deadline(config))
+            store.receive(reported, ann, protocol.deadline(config))
         (verdict,) = protocol.judge(config, reported, zeros, shared, zeros, measured, *materials)
         for i in np.flatnonzero(np.array(verdict.pair_passes) != honest):
             failures.append(f"{variant} verdict disagrees with the oracle frame at shared={shared[i]} "

@@ -52,7 +52,6 @@ class Actor:
 
     id: int
     name: str
-    role: str  # verifier | prover | adversary | virtual
     position: float
 
 
@@ -117,10 +116,12 @@ class KnowledgeLedger:
         self._first_knowable: dict[tuple[int, int], float] = {}
 
     def record(self, actor_id: int, value: ClassicalValue, time: float) -> None:
-        key = (actor_id, value.vid)
-        prior = self._first_knowable.get(key)
-        if prior is None or time < prior:
-            self._first_knowable[key] = time
+        """Keep the first record of ``value`` at ``actor_id``.
+
+        Every record is made at the timeline's current time, which never runs
+        backwards, so the first record is the earliest.
+        """
+        self._first_knowable.setdefault((actor_id, value.vid), time)
 
     def first_knowable(self, actor_id: int, value: ClassicalValue) -> float:
         return self._first_knowable.get((actor_id, value.vid), math.inf)

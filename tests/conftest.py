@@ -38,10 +38,8 @@ def _judge_slots(report, *, psi=None, l1=0, w=0, report_2=None, l2=0, ann=0, mea
     psi, l1, w, report, report_2, l2, ann, measured = (column.copy() for column in columns)
     config = ProtocolConfig(n=1, variant=variant)
     v1, v2 = MaterialStore(len(psi)), MaterialStore(len(psi))
-    v1.ingest_report(report, deadline(config))
-    v2.ingest_report(report_2, deadline(config))
-    for store in (v1, v2):
-        store.ingest_announcement(ann, deadline(config))
+    v1.receive(report, ann, deadline(config))
+    v2.receive(report_2, ann, deadline(config))
     return judge(config, psi, l1, l2, w, measured, v1, v2)
 
 

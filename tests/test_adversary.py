@@ -159,15 +159,6 @@ class TestGuess:
                 assert rate <= 0.5 + 1e-12
         assert best == 0.5
 
-    def test_strict_duplicates_still_half(self):
-        # the shipped guess strategy relays the announcement, so duplicates
-        # match and strict mode changes nothing
-        trials = 2000
-        config = AttackConfig(strategy="guess", delta=0.1,
-                              protocol=ProtocolConfig(n=1, strict_duplicates=True))
-        rate = batch_acceptance(config, trials)
-        assert abs(rate - 0.5) < 3 * math.sqrt(0.25 / trials)
-
 
 class TestSwapAndForward:
     @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5])

@@ -52,6 +52,21 @@ class TestExpectedAcceptance:
         assert expected_acceptance("bounded_rounds", 2) == 0.0
 
 
+class TestMakeRow:
+    """The report rules, on rows built from chosen counts."""
+
+    @pytest.mark.parametrize("accepted,passed", [(4849, False), (4850, True), (5150, True), (5151, False)])
+    def test_pass_rule_is_three_sigma(self, accepted, passed):
+        # guess at n = 1 over 10,000 trials: sigma = 0.005, so 3 sigma is 150 accepts either side of 5000
+        row = analysis._make_row(ExperimentSpec(scenario="guess", trials=10_000), 1, accepted)
+        assert row.passed is passed
+
+    def test_interval_clipped_to_unit_range(self):
+        # one accepted trial: detection 0, sigma 0.5, so detection -+ 3 sigma is [-1.5, 1.5] before clipping
+        row = analysis._make_row(ExperimentSpec(scenario="guess", trials=1), 1, 1)
+        assert (row.interval_low, row.interval_high) == (0.0, 1.0)
+
+
 class TestRunExperiment:
     def test_honest_detects_nothing(self):
         spec = ExperimentSpec(scenario="honest", n_values=(1, 4), trials=200, master_seed=3)

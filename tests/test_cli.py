@@ -109,7 +109,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command,settings,key", [
         ("attack", {"preshared_pairs": "3", "strategy": "swap_and_forward"}, "preshared_pairs"),
         ("attack", {"preshared_pairs": 1.5, "strategy": "swap_and_forward"}, "preshared_pairs"),
-        ("run", {"strict_duplicates": "false"}, "strict_duplicates"),
+        ("run", {"strict_duplicates": True}, "strict_duplicates"),  # a deleted key is unknown
         ("run", {"n": 2.9}, "n must be an int"),
         ("run", {"n": True}, "n must be an int"),
         ("run", {"nn": 2}, "unknown config key(s) 'nn'"),
@@ -140,7 +140,7 @@ class TestConfigFile:
 
     def test_json_types_accepted(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"n": 2, "x": 2, "strict_duplicates": True, "seed": 5}))
+        path.write_text(json.dumps({"n": 2, "x": 2, "seed": 5}))
         assert main(["run", "--config", str(path)]) == 0
         assert "honest run: n=2 x=2.0" in capsys.readouterr().out
 
@@ -160,7 +160,6 @@ _VALUES = {
     "delta": (st.floats(0.01, 1.0), _ODD_FLOAT),
     "deadline_slack": (st.floats(0.0, 10.0), _ODD_FLOAT),
     "variant": (_spellings(VARIANTS), st.sampled_from(["", "three_bit", "guess"])),
-    "strict_duplicates": (st.booleans(), st.integers(0, 1)),
     "seed": (st.integers(0, 2 ** 64 - 1), st.sampled_from([-1, 2 ** 64])),
     "strategy": (_spellings(STRATEGIES), st.sampled_from(["", "honest", "two_bit"])),
     "scenario": (_spellings(["honest", *STRATEGIES]), st.sampled_from(["", "two_bit"])),

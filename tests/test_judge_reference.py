@@ -4,11 +4,18 @@
 loop over pairs that checks each one through dataclass Pauli frames and
 filters arrivals against the deadline plus a 1e-12 tolerance. It is kept only
 as the reference for this test, together with the label, outcome and frame
-dataclasses it was written against. Every per-pair input is enumerated (challenge,
-both Bell labels, w', both report copies, both announcement copies, V2's
-bit) under all 16 usable/late combinations of the four material arrival
-times, for both variants and both duplicate policies, as one trial, as
-four-pair trials and as one trial per pair.
+dataclasses it was written against. It times each verifier's report and
+announcement separately and takes its duplicate policy (is a missing V1
+announcement a failure?) as an argument; ``judge`` keeps one response per
+verifier, with one arrival time.
+
+A response carries its report and announcement together, so the reachable
+arrival patterns are those where each verifier's report and announcement
+share one time. Every per-pair input is enumerated (challenge, both Bell
+labels, w', both report copies, both announcement copies, V2's bit) under all
+4 usable/late combinations of the two verifiers' arrival times, for both
+variants and both reference duplicate policies, as one trial, as four-pair
+trials and as one trial per pair.
 """
 
 import dataclasses
@@ -151,8 +158,9 @@ def _loop_judge(
     labels_v2: Sequence[BellLabel],
     w_prime: Sequence[BsmOutcome],
     v2_measured: np.ndarray | None,
-    materials_v1: MaterialStore,
-    materials_v2: MaterialStore,
+    materials_v1: SimpleNamespace,
+    materials_v2: SimpleNamespace,
+    strict_duplicates: bool,
     enforce_deadline: bool = True,
 ) -> Verdict:
     cutoff = deadline(config) + _TIME_EPS
@@ -169,7 +177,7 @@ def _loop_judge(
     pair_passes: list[bool] = []
     for i in range(config.n):
         timing_ok = r1_ok_time and r2_ok_time and a2_ok_time and (v2_measured is not None)
-        if config.strict_duplicates:
+        if strict_duplicates:
             timing_ok = timing_ok and a1_ok_time
 
         v1_ok = False
@@ -192,7 +200,7 @@ def _loop_judge(
         if a1_ok_time and a2_ok_time:
             dup_ok = int(materials_v1.announcement[i]) == int(materials_v2.announcement[i])
         else:
-            dup_ok = not config.strict_duplicates
+            dup_ok = not strict_duplicates
 
         ok = timing_ok and v1_ok and v2_ok and dup_ok
         pair_passes.append(ok)
@@ -236,37 +244,37 @@ class _Case:
         self.labels_v2 = [BellLabel.from_index(int(i)) for i in self.cols["l2"]]
         self.w_prime = [BsmOutcome.from_index(int(i)) for i in self.cols["w"]]
 
-    def stores(self, times: tuple[float, float, float, float]) -> tuple[MaterialStore, MaterialStore]:
-        """V1's and V2's stores holding the enumerated copies, first arrivals at ``times``."""
-        report_1, report_2, ann_1, ann_2 = times
-        v1, v2 = MaterialStore(self.slots), MaterialStore(self.slots)
-        v1.ingest_report(self.cols["report_1"], report_1)
-        v2.ingest_report(self.cols["report_2"], report_2)
-        v1.ingest_announcement(self.cols["ann_1"], ann_1)
-        v2.ingest_announcement(self.cols["ann_2"], ann_2)
-        return v1, v2
+    def stores(self, times: tuple[float, float], pick=slice(None)) -> tuple[MaterialStore, MaterialStore]:
+        """V1's and V2's stores holding the enumerated responses (slots ``pick``), arriving at ``times``."""
+        c = self.cols
+        stores = MaterialStore(len(c["psi"][pick])), MaterialStore(len(c["psi"][pick]))
+        for store, verifier, time in zip(stores, "12", times):
+            store.receive(c["report_" + verifier][pick], c["ann_" + verifier][pick], time)
+        return stores
+
+    def reference_stores(self, times: tuple[float, float], pick=slice(None)) -> list[SimpleNamespace]:
+        """The same stores as the reference reads them: report and announcement timed apart, here alike."""
+        return [SimpleNamespace(report=store.report, report_time=store.time,
+                                announcement=store.announcement, announcement_time=store.time)
+                for store in self.stores(times, pick)]
 
     def new(self, config: ProtocolConfig, times, n: int) -> list[Verdict]:
         c = self.cols
         return judge(dataclasses.replace(config, n=n), c["psi"], c["l1"], c["l2"], c["w"], c["v2"], *self.stores(times))
 
-    def old(self, config: ProtocolConfig, times, enforce_deadline: bool = True) -> Verdict:
+    def old(self, config: ProtocolConfig, times, strict: bool, enforce_deadline: bool = True) -> Verdict:
         return _loop_judge(config, self.cols["psi"], self.labels_v1, self.labels_v2, self.w_prime, self.cols["v2"],
-                           *self.stores(times), enforce_deadline=enforce_deadline)
+                           *self.reference_stores(times), strict, enforce_deadline=enforce_deadline)
 
-    def old_per_pair(self, config: ProtocolConfig, times) -> list[Verdict]:
-        """The reference on each slot alone; it reads only these four store attributes."""
+    def old_per_pair(self, config: ProtocolConfig, times, strict: bool) -> list[Verdict]:
+        """The reference on each slot alone."""
         one = dataclasses.replace(config, n=1)
-        c, (report_1, report_2, ann_1, ann_2) = self.cols, times
         verdicts = []
         for i in range(self.slots):
             pick = slice(i, i + 1)
-            v1 = SimpleNamespace(report=c["report_1"][pick], report_time=report_1,
-                                 announcement=c["ann_1"][pick], announcement_time=ann_1)
-            v2 = SimpleNamespace(report=c["report_2"][pick], report_time=report_2,
-                                 announcement=c["ann_2"][pick], announcement_time=ann_2)
-            verdicts.append(_loop_judge(one, c["psi"][pick], self.labels_v1[pick], self.labels_v2[pick],
-                                        self.w_prime[pick], c["v2"][pick], v1, v2))
+            verdicts.append(_loop_judge(one, self.cols["psi"][pick], self.labels_v1[pick], self.labels_v2[pick],
+                                        self.w_prime[pick], self.cols["v2"][pick],
+                                        *self.reference_stores(times, pick), strict))
         return verdicts
 
 
@@ -274,25 +282,25 @@ class _Case:
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_array_judge_equals_loop_judge_on_every_input(variant, strict):
     case = _Case(variant)
-    config = ProtocolConfig(n=case.slots, x=1.0, variant=variant, strict_duplicates=strict)
-    for on_time in itertools.product((True, False), repeat=4):
+    config = ProtocolConfig(n=case.slots, x=1.0, variant=variant)
+    for on_time in itertools.product((True, False), repeat=2):
         times = tuple(ON_TIME if ok else LATE for ok in on_time)
-        old = case.old(config, times)
+        old = case.old(config, times, strict)
         assert case.new(config, times, n=case.slots) == [old]  # one trial of every slot
         assert [p for v in case.new(config, times, n=4) for p in v.pair_passes] == old.pair_passes
         per_pair = case.new(config, times, n=1)  # every slot its own trial
         if old.reason == REASON_TIMING:  # the loop's timing flags do not depend on pair content
             assert per_pair == [Verdict(False, REASON_TIMING, [False])] * case.slots
         else:
-            assert per_pair == case.old_per_pair(config, times)
+            assert per_pair == case.old_per_pair(config, times, strict)
 
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_infinite_slack_equals_loop_judge_without_deadline(strict):
-    # the diagnostic verdict: every finite arrival counts, a material that never arrives does not
+    # the diagnostic verdict: every finite arrival counts, a response that never arrives does not
     case = _Case(VARIANT_SINGLE_BIT)
-    config = ProtocolConfig(n=case.slots, x=1.0, variant=VARIANT_SINGLE_BIT, strict_duplicates=strict)
+    config = ProtocolConfig(n=case.slots, x=1.0, variant=VARIANT_SINGLE_BIT)
     unbounded = dataclasses.replace(config, deadline_slack=math.inf)
-    for on_time in itertools.product((True, False), repeat=4):
+    for on_time in itertools.product((True, False), repeat=2):
         times = tuple(LATE if ok else math.inf for ok in on_time)
-        assert case.new(unbounded, times, n=case.slots) == [case.old(config, times, enforce_deadline=False)]
+        assert case.new(unbounded, times, n=case.slots) == [case.old(config, times, strict, enforce_deadline=False)]

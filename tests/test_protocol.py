@@ -225,8 +225,8 @@ class TestRunHonest:
 class _JudgeFixture:
     """Synthetic honest-looking materials for direct judge() tests (one trial)."""
 
-    def __init__(self, n=1, variant=VARIANT_TWO_BIT, strict=False):
-        self.config = ProtocolConfig(n=n, x=1.0, variant=variant, strict_duplicates=strict)
+    def __init__(self, n=1, variant=VARIANT_TWO_BIT):
+        self.config = ProtocolConfig(n=n, x=1.0, variant=variant)
         self.challenges = np.zeros(n, dtype=np.int64)
         self.labels = np.zeros(n, dtype=np.int64)
         self.w = np.zeros(n, dtype=np.int64)
@@ -234,10 +234,8 @@ class _JudgeFixture:
         self.v1 = MaterialStore(n)
         self.v2 = MaterialStore(n)
         zeros = np.zeros(n, dtype=np.int64)
-        self.v1.ingest_report(zeros, 2.0)
-        self.v2.ingest_report(zeros, 2.0)
-        self.v1.ingest_announcement(zeros, 2.0)
-        self.v2.ingest_announcement(zeros, 2.0)
+        self.v1.receive(zeros, zeros, 2.0)
+        self.v2.receive(zeros, zeros, 2.0)
 
     def verdict(self, **config_changes):
         (verdict,) = judge(dataclasses.replace(self.config, **config_changes), self.challenges, self.labels,
@@ -263,23 +261,14 @@ class TestJudge:
 
     def test_late_material_is_timing(self):
         fx = _JudgeFixture()
-        fx.v1.report_time = 2.5
+        fx.v1.time = 2.5
         verdict = fx.verdict()
         assert not verdict.accepted and verdict.reason == REASON_TIMING
         assert fx.verdict(deadline_slack=math.inf).accepted
 
-    def test_missing_duplicate_lenient_vs_strict(self):
-        lenient = _JudgeFixture(strict=False)
-        lenient.v1.announcement_time = math.inf
-        assert lenient.verdict().accepted
-        strict = _JudgeFixture(strict=True)
-        strict.v1.announcement_time = math.inf
-        verdict = strict.verdict()
-        assert not verdict.accepted
-
     def test_timing_outranks_content_in_reason(self):
         fx = _JudgeFixture(n=2)
-        fx.v1.report_time = 3.0
+        fx.v1.time = 3.0
         fx.v2.report = np.array([1, 0])
         assert fx.verdict().reason == REASON_TIMING
 

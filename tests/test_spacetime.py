@@ -16,11 +16,11 @@ from qpv.spacetime import (
     verify_causality,
 )
 
-V1 = Actor(0, "V1", "verifier", 0.0)
-V2 = Actor(1, "V2", "verifier", 2.0)
-P = Actor(2, "P", "prover", 1.0)
-P1 = Actor(3, "P1", "adversary", 0.9)
-P2 = Actor(4, "P2", "adversary", 1.1)
+V1 = Actor(0, "V1", 0.0)
+V2 = Actor(1, "V2", 2.0)
+P = Actor(2, "P", 1.0)
+P1 = Actor(3, "P1", 0.9)
+P2 = Actor(4, "P2", 1.1)
 
 
 def timeline():
@@ -149,6 +149,28 @@ class TestLedger:
         tl.run_until_quiescent()
         assert tl.ledger.knows(P2.id, value, 0.9 + 0.2)
         assert not tl.ledger.knows(P2.id, value, 1.0)
+
+    @pytest.mark.parametrize("direct_first", [True, False])
+    def test_forward_between_two_arrivals_keeps_the_first(self, direct_first):
+        # v reaches P twice: straight from V1 at t=1, and at t=3 as a copy V1 emits at t=2.
+        # P forwards it at t=1.25, between the two arrivals. Deliveries run in arrival order
+        # whichever copy is sent first, and the ledger and the offline check both keep the
+        # first arrival, or the forward would read as superluminal.
+        tl = timeline()
+        value = tl.new_value(V1, "v", 3)
+        delivered = []
+
+        def emit():
+            routes = [{}, {"emit_time": 2.0}]
+            for route in routes if direct_first else routes[::-1]:
+                tl.send(V1, P, "copy", values=[value], handler=lambda m: delivered.append(m.arrival_time), **route)
+
+        tl.schedule(0.0, V1, "emit", emit)
+        tl.schedule(1.25, P, "forward", lambda: tl.send(P, P2, "forward", values=[value]))
+        tl.run_until_quiescent()
+        assert delivered == [1.0, 3.0]
+        assert tl.ledger.first_knowable(P.id, value) == 1.0
+        assert verify_causality(tl) == []
 
     def test_read_enforces_ledger(self):
         tl = timeline()

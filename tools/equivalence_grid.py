@@ -11,9 +11,9 @@ must not move any output is checked with an empty diff:
 
 The grid:
 
-* ``run/...``: single runs over seeds x scenarios x variants x strict
-  duplicates x diagnostic (attacks only): transcripts, event log, verdict,
-  and for attacks the completion and agreement times;
+* ``run/...``: single runs over seeds x scenarios x variants x diagnostic
+  (attacks only): transcripts, event log, verdict, and for attacks the
+  completion and agreement times;
 * ``batch/...``: the batched verdicts of 64 derived trial keys per cell;
 * ``edge/...``: runs at the timing edges: responses exactly at, or one
   rounding step past, the deadline, and colluder offsets at the float
@@ -22,11 +22,12 @@ The grid:
   suite runs, at workers=1 and again at workers=2 and 3 (``.../workers=k``),
   which cover the process fan-out; a fanned-out line must repeat the hash of
   its workers=1 line, or the script exits 1 after printing every line;
-* ``stdout/...``: what a user sees, the stdout of the five demos and of
-  ``qpv selftest``. Each runs as a subprocess against the ``qpv`` package
-  this script imported (the demos of that package's checkout), in a fresh
-  temporary directory because demo 05 writes a CSV file there. Demo 03 takes
-  most of the script's run time.
+* ``stdout/...``: what a user sees, the stdout of the five demos, of
+  ``qpv selftest`` and of the README's ``qpv run`` and ``qpv attack`` command
+  lines. Each runs as a subprocess against the ``qpv`` package this script
+  imported (the demos of that package's checkout), in a fresh temporary
+  directory because demo 05 writes a CSV file there, and must exit 0. Demo 03
+  takes most of the script's run time.
 
 It uses only the public run functions and the command line, so it runs
 unchanged on older checkouts that have them.
@@ -71,6 +72,14 @@ EXPERIMENTS = [
     ("honest", (1, 16), 2000, 11),
     ("guess", (1, 16), 2000, 11),
 ]
+# The README's run and attack command lines, which all exit 0.
+README_COMMANDS = [
+    "run --n 4 --x 1 --seed 7",
+    "run --variant single-bit --n 4",
+    "attack --strategy guess --n 1 --seed 3",
+    "attack --strategy swap-and-forward --delta 0.25",
+    "attack --strategy bounded-rounds --rounds 2 --diagnostic",
+]
 
 
 def sha(text: str) -> str:
@@ -109,14 +118,13 @@ def cases():
     """(case name, zero-argument function giving the text it hashes), in print order."""
     for scenario in SCENARIOS:
         for variant in VARIANTS:
-            for strict in (False, True):
-                protocol = ProtocolConfig(n=N, variant=variant, strict_duplicates=strict)
-                for diagnostic in (False,) if scenario == "honest" else (False, True):
-                    cell = f"{scenario}/{variant}/strict={strict}/diagnostic={diagnostic}"
-                    for seed in SEEDS:
-                        yield (f"run/{cell}/{seed}",
-                               lambda s=scenario, p=protocol, k=seed, d=diagnostic: single_run(s, p, k, d))
-                    yield f"batch/{cell}", lambda s=scenario, p=protocol, d=diagnostic: batch(s, p, d)
+            protocol = ProtocolConfig(n=N, variant=variant)
+            for diagnostic in (False,) if scenario == "honest" else (False, True):
+                cell = f"{scenario}/{variant}/diagnostic={diagnostic}"
+                for seed in SEEDS:
+                    yield (f"run/{cell}/{seed}",
+                           lambda s=scenario, p=protocol, k=seed, d=diagnostic: single_run(s, p, k, d))
+                yield f"batch/{cell}", lambda s=scenario, p=protocol, d=diagnostic: batch(s, p, d)
     late = math.nextafter(2.5, 3.0) - 2.0  # the response arrives one rounding step after the deadline 2.5
     for x, slack, delay in [(1.0, 0.0, 0.0), (1.0, 0.5, 0.5), (1.0, 0.5, late), (0.3, 0.7, 0.7),
                             (1e6 + 0.3, 0.0, 0.0), (2.5, math.inf, 3.0)]:
@@ -137,6 +145,8 @@ def cases():
     for demo in DEMOS:
         yield f"stdout/{demo.name}", lambda d=demo: stdout(str(d))
     yield "stdout/qpv selftest", lambda: stdout("-m", "qpv.cli", "selftest")
+    for command in README_COMMANDS:
+        yield f"stdout/qpv {command}", lambda c=command: stdout("-m", "qpv.cli", *c.split())
 
 
 def main() -> int:
