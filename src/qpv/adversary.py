@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quantum
-from .protocol import ProtocolConfig, TrialCore, PairTranscript, Verdict, _execute, announcement, completion_time
+from .protocol import (ProtocolConfig, TrialCore, PairTranscript, Verdict, _execute, announcement, check_int,
+                       completion_time)
 from .spacetime import Actor, Event
 
 
@@ -55,6 +56,7 @@ class AttackConfig:
             raise ValueError(f"delta must satisfy 0 < delta < x, got delta={self.delta}, x={self.protocol.x}")
         if self.delta < math.ulp(2 * self.protocol.x):  # 2x + delta would round onto 2x
             raise ValueError(f"delta={self.delta} is below the float resolution ulp(2x) at x={self.protocol.x}")
+        check_int("rounds", self.rounds)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         pairs = self.preshared_pairs

@@ -33,7 +33,7 @@ import numpy as np
 
 from .adversary import SHIPPED_STRATEGIES, AttackConfig, run_attack_batch
 from .philox import check_seed, key_words, philox4x32
-from .protocol import ProtocolConfig, run_honest_batch
+from .protocol import ProtocolConfig, check_int, run_honest_batch
 
 SCENARIOS = ("honest", *SHIPPED_STRATEGIES)
 REPORT_FORMATS = ("json", "csv")
@@ -48,22 +48,29 @@ class ExperimentSpec:
     n_values: tuple[int, ...] = (1, 2, 4, 8)
     trials: int = 10_000
     master_seed: int = 0
-    x: float = 1.0
-    delta: float = 0.1
-    rounds: int = 1
-    variant: str = "two_bit"
+    x: float = ProtocolConfig.x
+    delta: float = AttackConfig.delta
+    rounds: int = AttackConfig.rounds
+    variant: str = ProtocolConfig.variant
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        check_int("trials", self.trials)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.n_values:
             raise ValueError("n_values must be non-empty")
         check_seed(self.master_seed)
         for n in self.n_values:
-            _trial_config(self.scenario, n, x=self.x, delta=self.delta, rounds=self.rounds,
-                          variant=self.variant).validate()
+            self.trial_config(n).validate()
+
+    def trial_config(self, n: int) -> ProtocolConfig | AttackConfig:
+        """The config every trial at ``n`` pairs runs: the scenario's prover with this spec's settings."""
+        protocol = ProtocolConfig(n=n, x=self.x, variant=self.variant)
+        if self.scenario == "honest":
+            return protocol
+        return AttackConfig(strategy=self.scenario, delta=self.delta, rounds=self.rounds, protocol=protocol)
 
 
 @dataclass(frozen=True)
@@ -127,24 +134,15 @@ def trial_seed(master_seed: int, scenario: str, n: int, index: int) -> int:
     return int(trial_keys(master_seed, scenario, n, [index])[0])
 
 
-def _trial_config(scenario: str, n: int, *, x: float, delta: float, rounds: int,
-                  variant: str) -> ProtocolConfig | AttackConfig:
-    protocol = ProtocolConfig(n=n, x=x, variant=variant)
-    if scenario == "honest":
-        return protocol
-    return AttackConfig(strategy=scenario, delta=delta, rounds=rounds, protocol=protocol)
-
-
 # Cap on register rows per vectorized pass; keeps peak state arrays small.
 _BATCH_SLOTS = 4096
 
 
-def run_trial_batch(scenario: str, n: int, seeds: Sequence[int], *, x: float = 1.0, delta: float = 0.1,
-                    rounds: int = 1, variant: str = "two_bit") -> int:
-    """Accepted-trial count over ``seeds`` (trial keys), chunked through the batched core."""
-    config = _trial_config(scenario, n, x=x, delta=delta, rounds=rounds, variant=variant)
-    run_batch = run_honest_batch if scenario == "honest" else run_attack_batch
-    chunk = max(1, _BATCH_SLOTS // n)
+def run_trial_batch(config: ProtocolConfig | AttackConfig, seeds: Sequence[int]) -> int:
+    """Accepted-trial count of ``config``'s trials over ``seeds`` (trial keys), chunked through the batched core."""
+    attack = isinstance(config, AttackConfig)
+    run_batch = run_attack_batch if attack else run_honest_batch
+    chunk = max(1, _BATCH_SLOTS // (config.protocol if attack else config).n)
     accepted = 0
     for start in range(0, len(seeds), chunk):
         accepted += sum(v.accepted for v in run_batch(config, seeds[start:start + chunk]))
@@ -207,8 +205,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 def _shard_counts(spec: ExperimentSpec, shard: int, shards: int) -> list[int]:
     """Accepted-trial count per n over trials ``shard``, ``shard + shards``, ... of each row."""
     indices = np.arange(shard, spec.trials, shards)
-    return [run_trial_batch(spec.scenario, n, trial_keys(spec.master_seed, spec.scenario, n, indices),
-                            x=spec.x, delta=spec.delta, rounds=spec.rounds, variant=spec.variant)
+    return [run_trial_batch(spec.trial_config(n), trial_keys(spec.master_seed, spec.scenario, n, indices))
             for n in spec.n_values]
 
 

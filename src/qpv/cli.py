@@ -1,8 +1,11 @@
 """Command-line entry point: honest runs, attack runs, Monte Carlo, selftest.
 
 Flags override values from an optional JSON config file whose keys mirror the
-config dataclass fields. Config values are checked, not coerced: an int must be
-a JSON integer, and an unknown key is an error (exit 2).
+config dataclass fields. A key set by neither takes the default of its config
+class (``ProtocolConfig``, ``AttackConfig``, ``ExperimentSpec``); only the
+seed, montecarlo's workers, report format and output path have defaults here.
+Config values are checked, not coerced: an int must be a JSON integer, and an
+unknown key is an error (exit 2).
 Every subcommand is deterministic under a fixed seed.
 """
 
@@ -12,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .adversary import SHIPPED_STRATEGIES, AttackConfig, run_attack
 from .analysis import (REPORT_FORMATS, SCENARIOS, ExperimentSpec, check_report_format, render_csv, run_experiment,
@@ -26,25 +30,36 @@ _BIT_GLYPH = {0: "+", 1: "-", None: "?"}
 _RUN_KEYS = ("n", "x", "variant", "deadline_slack", "seed")
 _ATTACK_KEYS = (*_RUN_KEYS, "strategy", "delta", "rounds", "preshared_pairs")
 _MONTECARLO_KEYS = ("scenario", "n", "trials", "seed", "x", "delta", "rounds", "variant", "workers", "format", "out")
-_KINDS = {int: "an int", float: "a number", str: "a string"}
+# The JSON kind of every key but preshared_pairs, an int or null that AttackConfig checks.
+_KINDS = {"n": int, "x": float, "variant": str, "deadline_slack": float, "seed": int, "strategy": str,
+          "delta": float, "rounds": int, "scenario": str, "trials": int, "workers": int, "format": str, "out": str}
+_KIND_NAMES = {int: "an int", float: "a number", str: "a string"}
+_NAMES = ("variant", "strategy", "scenario")  # dashes are read as underscores
+_SPEC_FIELDS = {"n": "n_values", "seed": "master_seed"}  # ExperimentSpec's names for montecarlo's keys
 
 
-def _merged(args: argparse.Namespace, known: tuple[str, ...]) -> dict:
-    """Values of the config file (``args.config``, keys ``known``) overridden by any flag the user set."""
-    merged = {}
+def _settings(args: argparse.Namespace, known: tuple[str, ...], **readers) -> dict:
+    """The keys ``known`` set by the config file (``args.config``) or by a flag, the flag winning.
+
+    Each value is checked against ``_KINDS``, or read by ``readers[key]`` when that is given.
+    """
+    settings = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            merged = json.load(handle)
-        if not isinstance(merged, dict):
+            settings = json.load(handle)
+        if not isinstance(settings, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(merged) - set(known))
+        unknown = sorted(set(settings) - set(known))
         if unknown:
             raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; known: {', '.join(known)}")
-    for name in known:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    return merged
+    settings.update({name: value for name in known if (value := getattr(args, name, None)) is not None})
+    for name, value in settings.items():
+        if name in readers:
+            value = readers[name](value)
+        elif name in _KINDS:
+            value = _typed(name, value, _KINDS[name])
+        settings[name] = value.replace("-", "_") if name in _NAMES else value
+    return settings
 
 
 def _typed(name: str, value, kind: type):
@@ -53,25 +68,27 @@ def _typed(name: str, value, kind: type):
     A bool is neither an int nor a number here; a number is returned as a float.
     """
     if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool):
-        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
     return float(value) if kind is float else value
 
 
-def _name(settings: dict, key: str, default: str) -> str:
-    """The string setting ``key`` (or ``default``), with dashes read as underscores."""
-    return _typed(key, settings.get(key, default), str).replace("-", "_")
+def _pair_counts(value) -> tuple[int, ...]:
+    """Montecarlo's n: a list of ints or a comma-separated string of them."""
+    if isinstance(value, list):
+        return tuple(_typed("n", v, int) for v in value)
+    try:
+        return tuple(int(part) for part in value.split(","))
+    except (AttributeError, ValueError):
+        raise ValueError(f"n must be a list of ints or a comma-separated string, got {value!r}") from None
 
 
-def _protocol_config(settings: dict) -> ProtocolConfig:
-    return ProtocolConfig(
-        n=_typed("n", settings.get("n", 4), int),
-        x=_typed("x", settings.get("x", 1.0), float),
-        variant=_name(settings, "variant", "two_bit"),
-        deadline_slack=_typed("deadline_slack", settings.get("deadline_slack", 0.0), float),
-    )
+def _config(cls, settings: dict, **given):
+    """A ``cls`` from ``given`` and the settings named like its fields; the class supplies every other field."""
+    return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings}, **given)
 
 
-def _print_transcripts(transcripts) -> None:
+def _print_run(verdict, transcripts, events) -> None:
+    """The per-pair transcript lines, the event timeline and the verdict of one run."""
     for i, t in enumerate(transcripts):
         ann = t.pp_prime
         if ann is not None and t.variant == VARIANT_TWO_BIT:
@@ -82,19 +99,18 @@ def _print_transcripts(transcripts) -> None:
             f" announcement={ann}"
             f" v2_outcome={_BIT_GLYPH.get(t.v2_outcome, '?')}"
         )
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    settings = _merged(args, _RUN_KEYS)
-    config = _protocol_config(settings)
-    config.validate()
-    seed = _typed("seed", settings.get("seed", 0), int)
-    verdict, transcripts, events = run_honest(config, seed)
-    print(f"honest run: n={config.n} x={config.x} variant={config.variant} seed={seed}")
-    _print_transcripts(transcripts)
     print("-- event timeline --")
     print(format_event_log(events))
     print(f"verdict: {'ACCEPT' if verdict.accepted else 'REJECT'} (reason: {verdict.reason})")
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    settings = _settings(args, _RUN_KEYS)
+    config = _config(ProtocolConfig, settings)
+    seed = settings.get("seed", 0)
+    verdict, transcripts, events = run_honest(config, seed)
+    print(f"honest run: n={config.n} x={config.x} variant={config.variant} seed={seed}")
+    _print_run(verdict, transcripts, events)
     if args.transcript_json:
         with open(args.transcript_json, "w", encoding="utf-8") as handle:
             handle.write(transcripts_to_json(transcripts))
@@ -102,27 +118,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    settings = _merged(args, _ATTACK_KEYS)
-    strategy = _name(settings, "strategy", "guess")
-    if strategy not in SHIPPED_STRATEGIES:  # a config file bypasses the flag's choices
-        raise ValueError(f"strategy must be one of {SHIPPED_STRATEGIES}, got {strategy!r}")
-    config = AttackConfig(
-        strategy=strategy,
-        delta=_typed("delta", settings.get("delta", 0.1), float),
-        rounds=_typed("rounds", settings.get("rounds", 1), int),
-        preshared_pairs=settings.get("preshared_pairs"),
-        protocol=_protocol_config(settings),
-    )
-    config.validate()
-    seed = _typed("seed", settings.get("seed", 0), int)
+    settings = _settings(args, _ATTACK_KEYS)
+    config = _config(AttackConfig, settings, protocol=_config(ProtocolConfig, settings))
+    if config.strategy not in SHIPPED_STRATEGIES:  # a config file bypasses the flag's choices
+        raise ValueError(f"strategy must be one of {SHIPPED_STRATEGIES}, got {config.strategy!r}")
+    seed = settings.get("seed", 0)
     outcome = run_attack(config, seed, diagnostic=args.diagnostic)
     print(f"attack run: strategy={config.strategy} n={config.protocol.n} x={config.protocol.x} "
           f"delta={config.delta} seed={seed}{' (diagnostic: timing check disabled)' if args.diagnostic else ''}")
-    _print_transcripts(outcome.transcripts)
-    print("-- event timeline --")
-    print(format_event_log(outcome.events))
-    verdict = outcome.verdict
-    print(f"verdict: {'ACCEPT' if verdict.accepted else 'REJECT'} (reason: {verdict.reason})")
+    _print_run(outcome.verdict, outcome.transcripts, outcome.events)
     print(f"earliest_complete_response_time: {outcome.earliest_complete_response_time!r}")
     if outcome.agreement_time is not None:
         print(f"colluder agreement at t={outcome.agreement_time!r}")
@@ -130,29 +134,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    settings = _merged(args, _MONTECARLO_KEYS)
-    n_raw = settings.get("n", "1,2,4,8")
-    if isinstance(n_raw, str):
-        n_values = tuple(int(part) for part in n_raw.split(","))
-    elif isinstance(n_raw, list):
-        n_values = tuple(_typed("n", v, int) for v in n_raw)
-    else:
-        raise ValueError(f"n must be a list of ints or a comma-separated string, got {n_raw!r}")
-    spec = ExperimentSpec(
-        scenario=_name(settings, "scenario", "guess"),
-        n_values=n_values,
-        trials=_typed("trials", settings.get("trials", 10_000), int),
-        master_seed=_typed("seed", settings.get("seed", 0), int),
-        x=_typed("x", settings.get("x", 1.0), float),
-        delta=_typed("delta", settings.get("delta", 0.1), float),
-        rounds=_typed("rounds", settings.get("rounds", 1), int),
-        variant=_name(settings, "variant", "two_bit"),
-    )
+    settings = _settings(args, _MONTECARLO_KEYS, n=_pair_counts)
+    spec = _config(ExperimentSpec, {_SPEC_FIELDS.get(name, name): value for name, value in settings.items()})
     spec.validate()
-    fmt = _typed("format", settings.get("format", "json"), str)
+    fmt = settings.get("format", "json")
     check_report_format(fmt)
-    out = _typed("out", settings.get("out", f"qpv_report.{fmt}"), str)
-    result = run_experiment(spec, workers=_typed("workers", settings.get("workers", os.cpu_count() or 1), int))
+    out = settings.get("out", f"qpv_report.{fmt}")
+    result = run_experiment(spec, workers=settings.get("workers", os.cpu_count() or 1))
     write_report(result, out, fmt)
     print(render_csv(result).rstrip("\n"))
     print(f"report written to {out}")
@@ -172,9 +160,10 @@ def _choices(names) -> list[str]:
 def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
     """The flags ``run`` and ``attack`` share: a config file and the protocol settings."""
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--n", type=int, help="number of entangled pairs (default 4)")
-    parser.add_argument("--x", type=float, help="prover distance from each verifier (default 1)")
-    parser.add_argument("--variant", choices=_choices(VARIANTS), help="announcement variant (default two-bit)")
+    parser.add_argument("--n", type=int, help=f"number of entangled pairs (default {ProtocolConfig.n})")
+    parser.add_argument("--x", type=float, help=f"prover distance from each verifier (default {ProtocolConfig.x:g})")
+    parser.add_argument("--variant", choices=_choices(VARIANTS),
+                        help=f"announcement variant (default {ProtocolConfig.variant.replace('_', '-')})")
     parser.add_argument("--deadline-slack", dest="deadline_slack", type=float, help="extra allowance on the deadline")
     parser.add_argument("--seed", type=int, help="trial seed, an int in [0, 2**64) (default 0)")
 
@@ -193,9 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     atk_p = sub.add_parser("attack", help="run one colluding-prover trial")
     _add_protocol_flags(atk_p)
-    atk_p.add_argument("--strategy", choices=_choices(SHIPPED_STRATEGIES), help="adversary strategy (default guess)")
-    atk_p.add_argument("--delta", type=float, help="colluder offset from the claimed position (default 0.1)")
-    atk_p.add_argument("--rounds", type=int, help="free local rounds for bounded-rounds (default 1)")
+    atk_p.add_argument("--strategy", choices=_choices(SHIPPED_STRATEGIES),
+                       help=f"adversary strategy (default {AttackConfig.strategy.replace('_', '-')})")
+    atk_p.add_argument("--delta", type=float,
+                       help=f"colluder offset from the claimed position (default {AttackConfig.delta})")
+    atk_p.add_argument("--rounds", type=int,
+                       help=f"free local rounds for bounded-rounds (default {AttackConfig.rounds})")
     atk_p.add_argument("--preshared-pairs", dest="preshared_pairs", type=int,
                        help="cap on pre-shared Bell pairs (default unlimited)")
     atk_p.add_argument("--diagnostic", action="store_true",
@@ -205,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc_p = sub.add_parser("montecarlo", help="estimate acceptance/detection rates over many trials")
     mc_p.add_argument("--config", help="JSON config file; flags override its values")
     mc_p.add_argument("--scenario", choices=_choices(SCENARIOS))
-    mc_p.add_argument("--n", help="comma-separated pair counts, e.g. 1,2,4,8")
-    mc_p.add_argument("--trials", type=int, help="trials per point (default 10000)")
+    mc_p.add_argument("--n", help="comma-separated pair counts "
+                      f"(default {','.join(map(str, ExperimentSpec.n_values))})")
+    mc_p.add_argument("--trials", type=int, help=f"trials per point (default {ExperimentSpec.trials})")
     mc_p.add_argument("--seed", type=int, help="master seed, an int in [0, 2**64) (default 0)")
     mc_p.add_argument("--x", type=float)
     mc_p.add_argument("--delta", type=float)

@@ -81,6 +81,7 @@ class ProtocolConfig:
     prover_delay: float = 0.0  # fault injection: extra delay on the prover's response
 
     def validate(self) -> None:
+        check_int("n", self.n)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (0 < 2 * self.x < math.inf):  # V2 sits at 2x, so 2x must be finite too
@@ -103,6 +104,12 @@ class ProtocolConfig:
             labels = getattr(self, name)
             if labels is not None and not all(map(is_label, labels)):
                 raise ValueError(f"{name} entries must be ints in 0..3 (2a + b), got {list(labels)!r}")
+
+
+def check_int(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an int (a numpy integer counts, a bool does not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def deadline(config: ProtocolConfig) -> float:

@@ -121,7 +121,7 @@ class TestRunExperiment:
         seeds = [trial_seed(4, "guess", 2, i) for i in range(60)]
         config = AttackConfig(strategy="guess", protocol=ProtocolConfig(n=2))
         serial = sum(run_attack(config, s).verdict.accepted for s in seeds)
-        assert run_trial_batch("guess", 2, seeds) == serial
+        assert run_trial_batch(config, seeds) == serial
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError, match="scenario"):
@@ -135,6 +135,14 @@ class TestRunExperiment:
                 run_experiment(ExperimentSpec(master_seed=seed), workers=2)
         with pytest.raises(ValueError, match="workers must be >= 0, got -3"):
             run_experiment(ExperimentSpec(trials=10), workers=-3)
+        # a count that is not an int (a bool neither) is refused before any trial runs
+        for field_name, spec in [("trials", ExperimentSpec(scenario="honest", n_values=(1,), trials=2.5)),
+                                 ("trials", ExperimentSpec(scenario="honest", n_values=(1,), trials=True)),
+                                 ("n", ExperimentSpec(n_values=(1.5,), trials=2)),
+                                 ("n", ExperimentSpec(n_values=(1, True), trials=2)),
+                                 ("rounds", ExperimentSpec(scenario="bounded_rounds", rounds=1.5, trials=2))]:
+            with pytest.raises(ValueError, match=f"{field_name} must be an int, got"):
+                run_experiment(spec)
 
 
 class _InlineWorker:

@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qpv import cli, quantum, selftest
 from qpv.adversary import STRATEGIES, AttackConfig, run_attack
 from qpv.cli import main
-from qpv.protocol import REASON_TIMING, REASON_V1, VARIANTS, ProtocolConfig, run_honest
+from qpv.analysis import ExperimentSpec, render_json, run_experiment
+from qpv.protocol import REASON_TIMING, REASON_V1, VARIANTS, ProtocolConfig, run_honest, transcripts_to_json
+from qpv.spacetime import format_event_log
 
 
 def _swap_label_bits_swapped(shared1, shared2, outcome):
@@ -239,10 +241,12 @@ class TestMonteCarlo:
         assert json.loads(out_path.read_text())["trials"] == 60
 
     def test_invalid_n_rejected(self, tmp_path, capsys):
-        code = main(["montecarlo", "--n", "1,0", "--trials", "10", "--workers", "2",
-                     "--out", str(tmp_path / "r.json")])
-        assert code == 2
-        assert "n must be" in capsys.readouterr().err
+        for n in ("1,0", "1,a"):
+            code = main(["montecarlo", "--n", n, "--trials", "10", "--workers", "2",
+                         "--out", str(tmp_path / "r.json")])
+            assert code == 2
+            assert "n must be" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("source,workers", [("flag", -3), ("config", -1)])
     def test_negative_workers_rejected(self, tmp_path, capsys, source, workers):
@@ -260,6 +264,47 @@ class TestMonteCarlo:
             assert code == 2
             assert f"seed must be an int in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+
+class TestDefaults:
+    """A subcommand without flags runs the library's default config, at seed 0."""
+
+    @staticmethod
+    def _pair_lines(transcripts):
+        return [f"pair {i}: w'=({t.w_prime >> 1},{t.w_prime & 1})" for i, t in enumerate(transcripts)]
+
+    def test_run(self, tmp_path, capsys):
+        config = ProtocolConfig()
+        verdict, transcripts, events = run_honest(config, 0)
+        path = tmp_path / "transcript.json"
+        assert main(["run", "--transcript-json", str(path)]) == (0 if verdict.accepted else 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"honest run: n={config.n} x={config.x} variant={config.variant} seed=0"
+        assert [line.split(" report=")[0] for line in lines[1:1 + config.n]] == self._pair_lines(transcripts)
+        assert "\n".join(lines[2 + config.n:-1]) == format_event_log(events)
+        assert lines[-1] == f"verdict: {'ACCEPT' if verdict.accepted else 'REJECT'} (reason: {verdict.reason})"
+        assert path.read_text() == transcripts_to_json(transcripts)
+
+    def test_attack(self, capsys):
+        config = AttackConfig()
+        outcome = run_attack(config, 0)
+        assert main(["attack"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (f"attack run: strategy={config.strategy} n={config.protocol.n} x={config.protocol.x} "
+                            f"delta={config.delta} seed=0")
+        n = config.protocol.n
+        assert [line.split(" report=")[0] for line in lines[1:1 + n]] == self._pair_lines(outcome.transcripts)
+        assert "\n".join(lines[2 + n:-2]) == format_event_log(outcome.events)
+        verdict = outcome.verdict
+        assert lines[-2:] == [f"verdict: {'ACCEPT' if verdict.accepted else 'REJECT'} (reason: {verdict.reason})",
+                              f"earliest_complete_response_time: {outcome.earliest_complete_response_time!r}"]
+        assert outcome.agreement_time is None
+
+    def test_montecarlo(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        main(["montecarlo", "--trials", "50", "--workers", "1", "--out", str(out_path)])
+        capsys.readouterr()
+        assert out_path.read_text() == render_json(run_experiment(ExperimentSpec(trials=50)))
 
 
 class TestSelftest:

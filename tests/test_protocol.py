@@ -57,6 +57,8 @@ class TestConfig:
             (dict(deadline_slack=math.nan), "slack"),
             (dict(prover_delay=math.nan), "prover_delay"),
             (dict(prover_delay=-0.5), "prover_delay"),
+            (dict(n=2.0), "n must be an int, got 2.0"),
+            (dict(n=True), "n must be an int, got True"),
         ],
     )
     def test_invalid(self, kwargs, match):

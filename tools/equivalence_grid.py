@@ -23,11 +23,16 @@ The grid:
   which cover the process fan-out; a fanned-out line must repeat the hash of
   its workers=1 line, or the script exits 1 after printing every line;
 * ``stdout/...``: what a user sees, the stdout of the five demos, of
-  ``qpv selftest`` and of the README's ``qpv run`` and ``qpv attack`` command
-  lines. Each runs as a subprocess against the ``qpv`` package this script
-  imported (the demos of that package's checkout), in a fresh temporary
-  directory because demo 05 writes a CSV file there, and must exit 0. Demo 03
-  takes most of the script's run time.
+  ``qpv selftest`` and of the README's ``qpv run``, ``qpv attack`` and
+  ``qpv montecarlo`` command lines (the last with the report it writes). Each
+  runs as a subprocess against the ``qpv`` package this script imported (the
+  demos of that package's checkout), in a fresh temporary directory because
+  demo 05 and the montecarlo line write files there, and must exit 0. Demo 03
+  takes most of the script's run time;
+* ``rejected/...``: the exit code and stderr of command lines that must be
+  refused, most with a config file: an unknown key, values of the wrong type,
+  the unshipped ``cheat_w_prime`` strategy, an unknown report format and a
+  pair count that is not a number.
 
 It uses only the public run functions and the command line, so it runs
 unchanged on older checkouts that have them.
@@ -36,6 +41,7 @@ unchanged on older checkouts that have them.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -80,6 +86,19 @@ README_COMMANDS = [
     "attack --strategy swap-and-forward --delta 0.25",
     "attack --strategy bounded-rounds --rounds 2 --diagnostic",
 ]
+README_MONTECARLO = "montecarlo --scenario guess --n 1,2,4,8 --trials 100000 --seed 42 --format csv --out report.csv"
+# Command lines that exit 2: (command line, config file written as config.json, or None).
+REJECTED = [
+    ("run --config config.json", {"nn": 2}),
+    ("run --config config.json", {"n": 2.9}),
+    ("attack --config config.json --n 2", {"x": "2"}),
+    ("attack --config config.json --n 2", {"preshared_pairs": "3", "strategy": "swap_and_forward"}),
+    ("attack --config config.json --n 2", {"strategy": "cheat_w_prime"}),
+    ("montecarlo --config config.json", {"trials": 10.0}),
+    ("montecarlo --config config.json", {"n": [1, True]}),
+    ("montecarlo --config config.json", {"format": "xml", "scenario": "guess", "n": [1, 2, 4], "workers": 1}),
+    ("montecarlo --n 1,a --trials 10 --workers 1", None),
+]
 
 
 def sha(text: str) -> str:
@@ -100,11 +119,33 @@ def single_run(scenario: str, protocol: ProtocolConfig, seed: int, diagnostic: b
     return "\n".join([transcripts_to_json(transcripts), format_event_log(events), repr(verdict), extra])
 
 
+def command(*args: str, config: dict | None = None, report: str | None = None,
+            check: bool = True) -> tuple[subprocess.CompletedProcess, str]:
+    """``python args`` run against the imported package in a fresh directory, and the text of the file
+    ``report`` it wrote there (or ""); ``config`` is first written there as config.json."""
+    with tempfile.TemporaryDirectory() as cwd:
+        if config is not None:
+            Path(cwd, "config.json").write_text(json.dumps(config))
+        done = subprocess.run([sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, check=check)
+        return done, Path(cwd, report).read_text() if report else ""
+
+
 def stdout(*args: str) -> str:
     """Stdout of ``python args`` against the imported package, run in a fresh directory."""
-    with tempfile.TemporaryDirectory() as cwd:
-        return subprocess.run([sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
-                              capture_output=True, text=True, check=True).stdout
+    return command(*args)[0].stdout
+
+
+def readme_montecarlo() -> str:
+    """Stdout of the README's ``qpv montecarlo`` line and the report it writes."""
+    done, report = command("-m", "qpv.cli", *README_MONTECARLO.split(), report="report.csv")
+    return done.stdout + report
+
+
+def rejected(line: str, config: dict | None) -> str:
+    """Exit code and stderr of a command line that must be refused."""
+    done, _ = command("-m", "qpv.cli", *line.split(), config=config, check=False)
+    return f"{done.returncode}\n{done.stderr}"
 
 
 def batch(scenario: str, protocol: ProtocolConfig, diagnostic: bool) -> str:
@@ -145,8 +186,11 @@ def cases():
     for demo in DEMOS:
         yield f"stdout/{demo.name}", lambda d=demo: stdout(str(d))
     yield "stdout/qpv selftest", lambda: stdout("-m", "qpv.cli", "selftest")
-    for command in README_COMMANDS:
-        yield f"stdout/qpv {command}", lambda c=command: stdout("-m", "qpv.cli", *c.split())
+    for line in README_COMMANDS:
+        yield f"stdout/qpv {line}", lambda c=line: stdout("-m", "qpv.cli", *c.split())
+    yield f"stdout/qpv {README_MONTECARLO}", readme_montecarlo
+    for line, config in REJECTED:
+        yield f"rejected/qpv {line} {json.dumps(config)}", lambda c=line, f=config: rejected(c, f)
 
 
 def main() -> int:
