@@ -32,8 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quantum
-from .protocol import (ProtocolConfig, TrialCore, PairTranscript, Verdict, _execute, announcement, check_int,
-                       completion_time)
+from .protocol import (ProtocolConfig, TrialCore, PairTranscript, Verdict, _execute, announcement, check_choice,
+                       check_int, check_number, completion_time)
 from .spacetime import Actor, Event
 
 
@@ -49,22 +49,19 @@ class AttackConfig:
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
 
     def validate(self) -> None:
+        if not isinstance(self.protocol, ProtocolConfig):
+            raise ValueError(f"protocol must be a ProtocolConfig, got {self.protocol!r}")
         self.protocol.validate()
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGIES)}")
+        check_choice("strategy", self.strategy, tuple(STRATEGIES))
+        check_number("delta", self.delta)
         if not (0 < self.delta < self.protocol.x):
             raise ValueError(f"delta must satisfy 0 < delta < x, got delta={self.delta}, x={self.protocol.x}")
         if self.delta < math.ulp(2 * self.protocol.x):  # 2x + delta would round onto 2x
             raise ValueError(f"delta={self.delta} is below the float resolution ulp(2x) at x={self.protocol.x}")
-        check_int("rounds", self.rounds)
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        pairs = self.preshared_pairs
-        if pairs is not None and not (isinstance(pairs, (int, np.integer)) and not isinstance(pairs, bool)
-                                      and pairs >= 0):
-            raise ValueError(f"preshared_pairs must be None or an int >= 0, got {pairs!r}")
-        if not quantum.is_label(self.preshared_label):
-            raise ValueError(f"preshared_label must be an int in 0..3 (2a + b), got {self.preshared_label!r}")
+        check_int("rounds", self.rounds, 1)
+        if self.preshared_pairs is not None:
+            check_int("preshared_pairs", self.preshared_pairs, 0)
+        check_int("preshared_label", self.preshared_label, 0, 3)
 
 
 @dataclass

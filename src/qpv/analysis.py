@@ -33,7 +33,7 @@ import numpy as np
 
 from .adversary import SHIPPED_STRATEGIES, AttackConfig, run_attack_batch
 from .philox import check_seed, key_words, philox4x32
-from .protocol import ProtocolConfig, check_int, run_honest_batch
+from .protocol import ProtocolConfig, check_choice, check_int, check_number, run_honest_batch
 
 SCENARIOS = ("honest", *SHIPPED_STRATEGIES)
 REPORT_FORMATS = ("json", "csv")
@@ -54,14 +54,13 @@ class ExperimentSpec:
     variant: str = ProtocolConfig.variant
 
     def validate(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        check_int("trials", self.trials)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.n_values:
-            raise ValueError("n_values must be non-empty")
+        check_choice("scenario", self.scenario, SCENARIOS)
+        check_int("trials", self.trials, 1)
+        if not isinstance(self.n_values, (tuple, list)) or not self.n_values:
+            raise ValueError(f"n_values must be a non-empty tuple or list, got {self.n_values!r}")
         check_seed(self.master_seed)
+        check_number("delta", self.delta)  # the honest scenario runs without delta and rounds but reports them
+        check_int("rounds", self.rounds)
         for n in self.n_values:
             self.trial_config(n).validate()
 
@@ -175,11 +174,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run the full grid; deterministic given the spec and master seed.
 
     ``workers`` > 1 splits each n's trials into ``min(workers, trials, CPU
-    count)`` strided shards; 0 means one shard and a negative count is a
-    ValueError. The caller runs shard 0 itself while a worker process per
-    other shard runs that shard and sends back its counts; an exception in a
-    worker is raised in the caller. Results are identical either way, because
-    every trial owns a derived key and only counts are aggregated.
+    count)`` strided shards; 0 means one shard, and a count that is negative
+    or not an int is a ValueError. The caller runs shard 0 itself while a
+    worker process per other shard runs that shard and sends back its counts;
+    an exception in a worker is raised in the caller. Results are identical
+    either way, because every trial owns a derived key and only counts are
+    aggregated.
 
     Workers are started by the first grid that needs them and reused by every
     later one. Only a process that runs more than one fanned-out grid gains
@@ -193,8 +193,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     worker, so that no later grid reads an answer owed to this one.
     """
     spec.validate()
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
+    check_int("workers", workers, 0)
     shards = max(1, min(workers or 1, spec.trials, os.cpu_count() or 1))
     counts = _fanned_out(spec, shards) if shards > 1 else [_shard_counts(spec, 0, 1)]
     result = ExperimentResult(spec=spec)

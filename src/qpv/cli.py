@@ -4,8 +4,10 @@ Flags override values from an optional JSON config file whose keys mirror the
 config dataclass fields. A key set by neither takes the default of its config
 class (``ProtocolConfig``, ``AttackConfig``, ``ExperimentSpec``); only the
 seed, montecarlo's workers, report format and output path have defaults here.
-Config values are checked, not coerced: an int must be a JSON integer, and an
-unknown key is an error (exit 2).
+Each value is passed on as given, and the config class checks its kind and
+range: nothing is coerced but a JSON integer where a number is due (``x``,
+``delta``, ``deadline_slack``), read as a float. A value of the wrong kind or
+range, or an unknown key, is an error (exit 2).
 Every subcommand is deterministic under a fixed seed.
 """
 
@@ -20,7 +22,8 @@ from dataclasses import fields
 from .adversary import SHIPPED_STRATEGIES, AttackConfig, run_attack
 from .analysis import (REPORT_FORMATS, SCENARIOS, ExperimentSpec, check_report_format, render_csv, run_experiment,
                        write_report)
-from .protocol import VARIANT_TWO_BIT, VARIANTS, ProtocolConfig, run_honest, transcripts_to_json
+from .philox import check_seed
+from .protocol import VARIANT_TWO_BIT, VARIANTS, ProtocolConfig, check_choice, run_honest, transcripts_to_json
 from .selftest import SUITES, run_selftest
 from .spacetime import format_event_log
 
@@ -30,10 +33,7 @@ _BIT_GLYPH = {0: "+", 1: "-", None: "?"}
 _RUN_KEYS = ("n", "x", "variant", "deadline_slack", "seed")
 _ATTACK_KEYS = (*_RUN_KEYS, "strategy", "delta", "rounds", "preshared_pairs")
 _MONTECARLO_KEYS = ("scenario", "n", "trials", "seed", "x", "delta", "rounds", "variant", "workers", "format", "out")
-# The JSON kind of every key but preshared_pairs, an int or null that AttackConfig checks.
-_KINDS = {"n": int, "x": float, "variant": str, "deadline_slack": float, "seed": int, "strategy": str,
-          "delta": float, "rounds": int, "scenario": str, "trials": int, "workers": int, "format": str, "out": str}
-_KIND_NAMES = {int: "an int", float: "a number", str: "a string"}
+_FLOATS = ("x", "delta", "deadline_slack")  # a JSON integer here is read as a float: "x": 2 prints x=2.0
 _NAMES = ("variant", "strategy", "scenario")  # dashes are read as underscores
 _SPEC_FIELDS = {"n": "n_values", "seed": "master_seed"}  # ExperimentSpec's names for montecarlo's keys
 
@@ -41,7 +41,7 @@ _SPEC_FIELDS = {"n": "n_values", "seed": "master_seed"}  # ExperimentSpec's name
 def _settings(args: argparse.Namespace, known: tuple[str, ...], **readers) -> dict:
     """The keys ``known`` set by the config file (``args.config``) or by a flag, the flag winning.
 
-    Each value is checked against ``_KINDS``, or read by ``readers[key]`` when that is given.
+    Each value is passed on for the config classes to check, or read by ``readers[key]`` when that is given.
     """
     settings = {}
     if args.config:
@@ -56,29 +56,21 @@ def _settings(args: argparse.Namespace, known: tuple[str, ...], **readers) -> di
     for name, value in settings.items():
         if name in readers:
             value = readers[name](value)
-        elif name in _KINDS:
-            value = _typed(name, value, _KINDS[name])
-        settings[name] = value.replace("-", "_") if name in _NAMES else value
+        elif name in _FLOATS and type(value) is int:
+            value = float(value)
+        elif name in _NAMES and isinstance(value, str):
+            value = value.replace("-", "_")
+        settings[name] = value
     return settings
 
 
-def _typed(name: str, value, kind: type):
-    """``value`` if it has JSON type ``kind``, else ValueError naming the key ``name``.
-
-    A bool is neither an int nor a number here; a number is returned as a float.
-    """
-    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool):
-        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
-
-
-def _pair_counts(value) -> tuple[int, ...]:
-    """Montecarlo's n: a list of ints or a comma-separated string of them."""
-    if isinstance(value, list):
-        return tuple(_typed("n", v, int) for v in value)
+def _pair_counts(value):
+    """Montecarlo's n: a comma-separated string of ints is split; any other value is ExperimentSpec's to check."""
+    if not isinstance(value, str):
+        return value
     try:
         return tuple(int(part) for part in value.split(","))
-    except (AttributeError, ValueError):
+    except ValueError:
         raise ValueError(f"n must be a list of ints or a comma-separated string, got {value!r}") from None
 
 
@@ -107,7 +99,7 @@ def _print_run(verdict, transcripts, events) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _settings(args, _RUN_KEYS)
     config = _config(ProtocolConfig, settings)
-    seed = settings.get("seed", 0)
+    seed = check_seed(settings.get("seed", 0))  # the library reads None as "draw a random seed"
     verdict, transcripts, events = run_honest(config, seed)
     print(f"honest run: n={config.n} x={config.x} variant={config.variant} seed={seed}")
     _print_run(verdict, transcripts, events)
@@ -120,9 +112,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     settings = _settings(args, _ATTACK_KEYS)
     config = _config(AttackConfig, settings, protocol=_config(ProtocolConfig, settings))
-    if config.strategy not in SHIPPED_STRATEGIES:  # a config file bypasses the flag's choices
-        raise ValueError(f"strategy must be one of {SHIPPED_STRATEGIES}, got {config.strategy!r}")
-    seed = settings.get("seed", 0)
+    check_choice("strategy", config.strategy, SHIPPED_STRATEGIES)  # a config file bypasses the flag's choices
+    seed = check_seed(settings.get("seed", 0))  # the library reads None as "draw a random seed"
     outcome = run_attack(config, seed, diagnostic=args.diagnostic)
     print(f"attack run: strategy={config.strategy} n={config.protocol.n} x={config.protocol.x} "
           f"delta={config.delta} seed={seed}{' (diagnostic: timing check disabled)' if args.diagnostic else ''}")
@@ -140,6 +131,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     fmt = settings.get("format", "json")
     check_report_format(fmt)
     out = settings.get("out", f"qpv_report.{fmt}")
+    if not isinstance(out, str):  # open() would take an int as a file descriptor
+        raise ValueError(f"out must be a string, got {out!r}")
     result = run_experiment(spec, workers=settings.get("workers", os.cpu_count() or 1))
     write_report(result, out, fmt)
     print(render_csv(result).rstrip("\n"))

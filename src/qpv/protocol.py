@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import secrets
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -46,7 +47,7 @@ import numpy as np
 
 from .philox import key_words, philox4x32, seed_keys
 from . import quantum
-from .quantum import BatchRegister, is_label
+from .quantum import BatchRegister
 from .spacetime import Actor, CausalityViolationError, ClassicalValue, Event, Timeline, verify_causality
 
 SPEED_OF_LIGHT = 1.0
@@ -81,35 +82,49 @@ class ProtocolConfig:
     prover_delay: float = 0.0  # fault injection: extra delay on the prover's response
 
     def validate(self) -> None:
-        check_int("n", self.n)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        check_int("n", self.n, 1)
+        check_number("x", self.x)
         if not (0 < 2 * self.x < math.inf):  # V2 sits at 2x, so 2x must be finite too
             raise ValueError(f"x must be positive with 2x finite, got {self.x}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        check_choice("variant", self.variant, VARIANTS)
+        check_number("deadline_slack", self.deadline_slack)
         if not (self.deadline_slack >= 0):  # also rejects NaN; inf is allowed
             raise ValueError(f"deadline_slack must be >= 0, got {self.deadline_slack}")
+        check_number("prover_delay", self.prover_delay)
         if not (self.prover_delay >= 0):
             raise ValueError(f"prover_delay must be >= 0, got {self.prover_delay}")
-        for name in ("challenge_states", "bell_labels_v1", "bell_labels_v2"):
-            seq = getattr(self, name)
-            if seq is not None and len(seq) != self.n:
-                raise ValueError(f"{name} must have length n={self.n}")
-        if self.challenge_states is not None:
-            for bit in self.challenge_states:
-                if bit not in (0, 1):
-                    raise ValueError("challenge states must be bits (0 = |+>, 1 = |->)")
-        for name in ("bell_labels_v1", "bell_labels_v2"):
-            labels = getattr(self, name)
-            if labels is not None and not all(map(is_label, labels)):
-                raise ValueError(f"{name} entries must be ints in 0..3 (2a + b), got {list(labels)!r}")
+        for name, high in (("challenge_states", 1), ("bell_labels_v1", 3), ("bell_labels_v2", 3)):
+            entries = getattr(self, name)
+            if entries is None:
+                continue
+            if not isinstance(entries, (tuple, list, np.ndarray)) or len(entries) != self.n:
+                raise ValueError(f"{name} must be None or a sequence of length n={self.n}, got {entries!r}")
+            for entry in entries:
+                check_int(f"{name} entry", entry, 0, high)
 
 
-def check_int(name: str, value) -> None:
-    """ValueError naming ``name`` unless ``value`` is an int (a numpy integer counts, a bool does not)."""
+def check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """ValueError naming ``name`` unless ``value`` is an int (a numpy integer counts, a bool does not)
+    in ``low``..``high``; a bound left None is open."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
+def check_number(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """ValueError naming ``name`` unless ``value`` is a str among ``choices``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def deadline(config: ProtocolConfig) -> float:

@@ -77,11 +77,6 @@ BELL_MATRIX = SQRT_HALF * np.array([
 HADAMARD_BASIS = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
 
 
-def is_label(value) -> bool:
-    """True for an int in 0..3, the 2a + b form of a Bell label, BSM outcome or Pauli frame."""
-    return isinstance(value, (int, np.integer)) and 0 <= value <= 3
-
-
 def pauli_frame_from(shared, outcome):
     """Correction 2k + k' left on the receiver half: the shared label xor the BSM outcome.
 

@@ -49,7 +49,7 @@ class TestAttackConfig:
             attack_config(delta=1.5, x=1.0).validate()
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
+        with pytest.raises(ValueError, match="strategy must be one of"):
             attack_config(strategy="mitm").validate()
 
     def test_rounds_lower_bound(self):
@@ -65,10 +65,18 @@ class TestAttackConfig:
     def test_preshared_pairs_accepted(self, pairs):
         attack_config(strategy="swap_and_forward", preshared_pairs=pairs).validate()
 
-    @pytest.mark.parametrize("label", [4, -1, 1.0, "1"])
+    @pytest.mark.parametrize("label", [4, -1, 1.0, "1", True])
     def test_preshared_label_must_be_a_label(self, label):
         with pytest.raises(ValueError, match="preshared_label"):
             attack_config("swap_and_forward", preshared_label=label).validate()
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(delta="0.1"), "delta must be a number"),
+        (dict(strategy=[]), "strategy must be a string"),
+    ])
+    def test_wrong_kind(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            attack_config(**kwargs).validate()
 
     @pytest.mark.parametrize("strategy", ["swap_and_forward", "bounded_rounds"])
     @pytest.mark.parametrize("x,delta", [(1e6 + 0.3, 1e-12), (1e9 + 0.7, 1e-7), (1.0, 0.625 * math.ulp(2.0))])

@@ -11,10 +11,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpv import analysis
 from qpv.adversary import AttackConfig, run_attack
 from qpv.analysis import (
+    SCENARIOS,
     ExperimentResult,
     ExperimentSpec,
     expected_acceptance,
@@ -135,6 +137,9 @@ class TestRunExperiment:
                 run_experiment(ExperimentSpec(master_seed=seed), workers=2)
         with pytest.raises(ValueError, match="workers must be >= 0, got -3"):
             run_experiment(ExperimentSpec(trials=10), workers=-3)
+        for workers in ("2", 2.5):
+            with pytest.raises(ValueError, match="workers must be an int"):
+                run_experiment(ExperimentSpec(trials=10), workers=workers)
         # a count that is not an int (a bool neither) is refused before any trial runs
         for field_name, spec in [("trials", ExperimentSpec(scenario="honest", n_values=(1,), trials=2.5)),
                                  ("trials", ExperimentSpec(scenario="honest", n_values=(1,), trials=True)),
@@ -143,6 +148,57 @@ class TestRunExperiment:
                                  ("rounds", ExperimentSpec(scenario="bounded_rounds", rounds=1.5, trials=2))]:
             with pytest.raises(ValueError, match=f"{field_name} must be an int, got"):
                 run_experiment(spec)
+        # a value of the wrong kind is a ValueError naming its field, never a TypeError
+        for match, spec in [("delta must be a number", ExperimentSpec(n_values=(1,), delta="0.1")),
+                            ("delta must be a number", ExperimentSpec(scenario="honest", n_values=(1,), delta="0.1")),
+                            ("rounds must be an int", ExperimentSpec(scenario="honest", n_values=(1,), rounds=1.5)),
+                            ("n_values must be a non-empty tuple or list", ExperimentSpec(n_values=5))]:
+            with pytest.raises(ValueError, match=match):
+                run_experiment(spec)
+
+
+# Values of each kind a config field can be given; a field takes the kinds it is not due.
+_KIND_VALUES = {
+    "none": st.none(),
+    "bool": st.booleans(),
+    "str": st.text(max_size=4),
+    "list": st.lists(st.integers(0, 3), max_size=4),
+    "float": st.floats(),
+    "int": st.integers(-2, 5),
+}
+_INT = ("none", "bool", "str", "list", "float")
+_NUMBER = ("none", "bool", "str", "list")
+_CHOICE = ("none", "bool", "list", "float")
+_ENTRIES = ("bool", "str", "float", "int")  # None leaves the field unset and a list is its kind
+_WRONG_KINDS = [
+    (ProtocolConfig, {"n": _INT, "x": _NUMBER, "challenge_states": _ENTRIES, "bell_labels_v1": _ENTRIES,
+                      "bell_labels_v2": _ENTRIES, "variant": _CHOICE, "deadline_slack": _NUMBER,
+                      "prover_delay": _NUMBER}),
+    (AttackConfig, {"strategy": _CHOICE, "delta": _NUMBER, "rounds": _INT, "preshared_pairs": _INT[1:],
+                    "preshared_label": _INT, "protocol": _INT}),  # protocol: anything but a ProtocolConfig
+    (ExperimentSpec, {"scenario": _CHOICE, "n_values": ("none", "bool", "str", "float", "int"), "trials": _INT,
+                      "master_seed": _INT, "x": _NUMBER, "delta": _NUMBER, "rounds": _INT, "variant": _CHOICE}),
+]
+
+
+class TestConfigKinds:
+    """Every field of every config class: a value of the wrong kind is a ValueError naming the field."""
+
+    @pytest.mark.parametrize("cls", [ProtocolConfig, AttackConfig, ExperimentSpec])
+    def test_defaults_valid(self, cls):
+        cls().validate()
+
+    @pytest.mark.parametrize("cls,name,kinds", [pytest.param(cls, name, kinds, id=f"{cls.__name__}.{name}")
+                                                for cls, fields in _WRONG_KINDS for name, kinds in fields.items()])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_wrong_kind(self, cls, name, kinds, data):
+        config = cls(**{name: data.draw(st.one_of(*(_KIND_VALUES[kind] for kind in kinds)))})
+        if cls is ExperimentSpec and name != "scenario":  # honest runs without delta and rounds but reports them
+            config.scenario = data.draw(st.sampled_from(SCENARIOS))
+        with pytest.raises(ValueError) as info:
+            config.validate()
+        assert {"master_seed": "seed"}.get(name, name) in str(info.value)  # the seed rule names the CLI's key
 
 
 class _InlineWorker:

@@ -106,7 +106,7 @@ class TestAttack:
 
 
 class TestConfigFile:
-    """Config-file values are checked, not coerced: each bad file exits 2 with an error naming the key."""
+    """Config-file values reach the config classes uncoerced: each bad file exits 2 with an error naming the key."""
 
     @pytest.mark.parametrize("command,settings,key", [
         ("attack", {"preshared_pairs": "3", "strategy": "swap_and_forward"}, "preshared_pairs"),
@@ -128,6 +128,10 @@ class TestConfigFile:
         ("montecarlo", {"scenario": "honest", "x": 1e308, "delta": 1, "n": [1]}, "x must be"),
         ("attack", {"strategy": "cheat_w_prime"}, "strategy must be one of"),
         ("montecarlo", {"format": "xml", "scenario": "guess", "n": [1, 2, 4], "workers": 1}, "unknown report format"),
+        ("run", {"seed": None}, "seed must be an int"),  # the library would draw a random seed
+        ("attack", {"seed": None}, "seed must be an int"),
+        ("montecarlo", {"out": 5}, "out must be a string"),
+        ("montecarlo", {"scenario": "honest", "delta": "0.1"}, "delta must be a number"),
     ])
     def test_rejected(self, tmp_path, capsys, monkeypatch, command, settings, key):
         def no_grid(*args, **kwargs):

@@ -46,7 +46,7 @@ class TestConfig:
             (dict(variant="three_bit"), "variant"),
             (dict(deadline_slack=-1.0), "slack"),
             (dict(n=2, challenge_states=[0]), "length"),
-            (dict(n=1, challenge_states=[2]), "bits"),
+            (dict(n=1, challenge_states=[2]), "challenge_states entry"),
             (dict(n=1, bell_labels_v1=[5]), "bell_labels_v1"),
             (dict(n=2, bell_labels_v2=[0, -1]), "bell_labels_v2"),
             (dict(n=1, bell_labels_v1=[1.0]), "bell_labels_v1"),
@@ -59,6 +59,12 @@ class TestConfig:
             (dict(prover_delay=-0.5), "prover_delay"),
             (dict(n=2.0), "n must be an int, got 2.0"),
             (dict(n=True), "n must be an int, got True"),
+            (dict(x="2"), "x must be a number, got '2'"),
+            (dict(deadline_slack="0"), "deadline_slack must be a number, got '0'"),
+            (dict(prover_delay="0"), "prover_delay must be a number, got '0'"),
+            (dict(x=True), "x must be a number, got True"),
+            (dict(n=1, bell_labels_v1=[True]), "bell_labels_v1 entry must be an int, got True"),
+            (dict(n=1, challenge_states=[1.0]), "challenge_states entry must be an int, got 1.0"),
         ],
     )
     def test_invalid(self, kwargs, match):

@@ -98,6 +98,12 @@ REJECTED = [
     ("montecarlo --config config.json", {"n": [1, True]}),
     ("montecarlo --config config.json", {"format": "xml", "scenario": "guess", "n": [1, 2, 4], "workers": 1}),
     ("montecarlo --n 1,a --trials 10 --workers 1", None),
+    ("attack --config config.json --n 2", {"strategy": []}),
+    ("run --config config.json", {"variant": None}),
+    ("run --config config.json", {"seed": 5.0}),
+    ("run --config config.json", {"deadline_slack": "0"}),
+    ("montecarlo --config config.json", {"scenario": "honest", "delta": "0.1"}),
+    ("montecarlo --config config.json", {"out": 5}),
 ]
 
 
