@@ -28,7 +28,7 @@ print(f"{'n':>3} {'accepted':>9} {'rate':>9} {'2^-n':>9} {'3 sigma':>9}")
 for n in (1, 2, 3, 4):
     config = AttackConfig(strategy="guess", delta=0.1, protocol=ProtocolConfig(n=n))
     seeds = [trial_seed(2024, "guess", n, i) for i in range(trials)]
-    accepted = sum(v.accepted for v in run_attack_batch(config, seeds))
+    accepted = int(run_attack_batch(config, seeds).accepted.sum())
     expected = 2.0 ** -n
     sigma = math.sqrt(expected * (1 - expected) / trials)
     print(f"{n:>3} {accepted:>9} {accepted / trials:>9.5f} {expected:>9.5f} {3 * sigma:>9.5f}")

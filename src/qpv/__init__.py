@@ -34,6 +34,7 @@ from .protocol import (
     PairTranscript,
     ProtocolConfig,
     Verdict,
+    Verdicts,
     deadline,
     judge,
     run_honest,

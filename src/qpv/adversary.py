@@ -32,8 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quantum
-from .protocol import (ProtocolConfig, TrialCore, PairTranscript, Verdict, _execute, announcement, check_choice,
-                       check_int, check_number, completion_time)
+from .protocol import (ProtocolConfig, TrialCore, PairTranscript, Verdict, Verdicts, _execute, announcement,
+                       check_choice, check_int, check_number, completion_time)
 from .spacetime import Actor, Event
 
 
@@ -251,7 +251,7 @@ STRATEGIES = {
 SHIPPED_STRATEGIES = tuple(name for name, cls in STRATEGIES.items() if cls is not _CheatReadWPrime)
 
 
-def _verdicts(core: TrialCore, diagnostic: bool) -> list[Verdict]:
+def _verdicts(core: TrialCore, diagnostic: bool) -> Verdicts:
     """Judge the finished run; the diagnostic verdict has infinite deadline slack."""
     if diagnostic:
         core.config = replace(core.config, deadline_slack=math.inf)
@@ -284,7 +284,7 @@ def run_attack(
     )
 
 
-def run_attack_batch(config: AttackConfig, trial_seeds, diagnostic: bool = False) -> list[Verdict]:
+def run_attack_batch(config: AttackConfig, trial_seeds, diagnostic: bool = False) -> Verdicts:
     """Many attack trials in one vectorized pass: ``[t]`` equals ``run_attack(config, trial_seeds[t])``."""
     config.validate()
     core = TrialCore(config.protocol, trial_seeds=trial_seeds)

@@ -138,18 +138,21 @@ _BATCH_SLOTS = 4096
 
 
 def run_trial_batch(config: ProtocolConfig | AttackConfig, seeds: Sequence[int]) -> int:
-    """Accepted-trial count of ``config``'s trials over ``seeds`` (trial keys), chunked through the batched core."""
+    """Accepted-trial count of ``config``'s trials over ``seeds`` (trial keys), chunked through the batched core.
+
+    Each chunk's count is read from the ``accepted`` array of its ``protocol.Verdicts``; no ``Verdict`` is built.
+    """
     attack = isinstance(config, AttackConfig)
     run_batch = run_attack_batch if attack else run_honest_batch
     chunk = max(1, _BATCH_SLOTS // (config.protocol if attack else config).n)
     accepted = 0
     for start in range(0, len(seeds), chunk):
-        accepted += sum(v.accepted for v in run_batch(config, seeds[start:start + chunk]))
+        accepted += np.count_nonzero(run_batch(config, seeds[start:start + chunk]).accepted)
     return accepted
 
 
 def _make_row(spec: ExperimentSpec, n: int, accepted: int) -> ResultRow:
-    trials = spec.trials
+    n, trials = int(n), int(spec.trials)  # numpy ints pass the spec's checks but not json.dumps
     rate = accepted / trials
     expected = expected_acceptance(spec.scenario, n)
     sigma = math.sqrt(expected * (1.0 - expected) / trials)
@@ -306,11 +309,11 @@ def _fmt(value: float) -> str:
 def render_json(result: ExperimentResult) -> str:
     payload = {
         "scenario": result.spec.scenario,
-        "master_seed": result.spec.master_seed,
-        "trials": result.spec.trials,
+        "master_seed": int(result.spec.master_seed),
+        "trials": int(result.spec.trials),
         "x": _fmt(result.spec.x),
         "delta": _fmt(result.spec.delta),
-        "rounds": result.spec.rounds,
+        "rounds": int(result.spec.rounds),
         "variant": result.spec.variant,
         "rows": [
             {

@@ -14,6 +14,7 @@ Every subcommand is deterministic under a fixed seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -57,7 +58,8 @@ def _settings(args: argparse.Namespace, known: tuple[str, ...], **readers) -> di
         if name in readers:
             value = readers[name](value)
         elif name in _FLOATS and type(value) is int:
-            value = float(value)
+            with contextlib.suppress(OverflowError):  # an int past the float range is the config class's to refuse
+                value = float(value)
         elif name in _NAMES and isinstance(value, str):
             value = value.replace("-", "_")
         settings[name] = value
@@ -133,6 +135,9 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     out = settings.get("out", f"qpv_report.{fmt}")
     if not isinstance(out, str):  # open() would take an int as a file descriptor
         raise ValueError(f"out must be a string, got {out!r}")
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):  # refused before the grid runs, not after
+        raise ValueError(f"out {out!r}: directory {directory!r} does not exist")
     result = run_experiment(spec, workers=settings.get("workers", os.cpu_count() or 1))
     write_report(result, out, fmt)
     print(render_csv(result).rstrip("\n"))

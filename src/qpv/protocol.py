@@ -60,6 +60,8 @@ REASON_OK = "ok"
 REASON_TIMING = "timing"
 REASON_V1 = "v1_inconsistent"
 REASON_V2 = "v2_inconsistent"
+REASONS = (REASON_OK, REASON_TIMING, REASON_V1, REASON_V2)  # Verdicts.reason holds an index into this
+_OK, _TIMING, _V1, _V2 = range(len(REASONS))
 
 _MISSING = -1
 
@@ -84,7 +86,7 @@ class ProtocolConfig:
     def validate(self) -> None:
         check_int("n", self.n, 1)
         check_number("x", self.x)
-        if not (0 < 2 * self.x < math.inf):  # V2 sits at 2x, so 2x must be finite too
+        if not (0 < 2.0 * self.x < math.inf):  # V2 sits at 2x, so 2x must be finite as a float too
             raise ValueError(f"x must be positive with 2x finite, got {self.x}")
         check_choice("variant", self.variant, VARIANTS)
         check_number("deadline_slack", self.deadline_slack)
@@ -114,9 +116,16 @@ def check_int(name: str, value, low: int | None = None, high: int | None = None)
 
 
 def check_number(name: str, value) -> None:
-    """ValueError naming ``name`` unless ``value`` is a real number (a bool is not)."""
+    """ValueError naming ``name`` unless ``value`` is a real number (a bool is not) that converts to a float.
+
+    An int or fraction past the float range is refused: every time in a run is a float.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number in the float range, got one past it") from None
 
 
 def check_choice(name: str, value, choices: tuple[str, ...]) -> None:
@@ -173,6 +182,36 @@ class Verdict:
     pair_passes: list[bool]
 
 
+@dataclass(eq=False)
+class Verdicts(Sequence):
+    """The verdicts of a batch of trials as arrays, read as a sequence of :class:`Verdict`.
+
+    ``accepted`` holds one bool per trial, ``reason`` one index into
+    :data:`REASONS` per trial and ``passes`` one bool per (trial, pair). A
+    ``Verdict`` is built only when one is read, by index or by iteration, and
+    a ``Verdicts`` equals the list of the ``Verdict``s it holds.
+    """
+
+    accepted: np.ndarray
+    reason: np.ndarray
+    passes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.accepted)
+
+    def __getitem__(self, trial: int) -> Verdict:
+        return Verdict(bool(self.accepted[trial]), REASONS[self.reason[trial]], self.passes[trial].tolist())
+
+    def __iter__(self):
+        for accepted, reason, passes in zip(self.accepted.tolist(), self.reason.tolist(), self.passes.tolist()):
+            yield Verdict(accepted, REASONS[reason], passes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Verdicts, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 def announcement(outcomes, variant: str):
     """What the prover announces for its BSM outcomes 2a + b: all of them, or one bit.
 
@@ -219,7 +258,7 @@ def judge(
     v2_measured: np.ndarray | None,
     materials_v1: MaterialStore,
     materials_v2: MaterialStore,
-) -> list[Verdict]:
+) -> Verdicts:
     """Pooled verdict of each trial, over both verifiers' knowledge and materials.
 
     Identical for honest runs and attacks. Every array holds one integer per
@@ -239,14 +278,11 @@ def judge(
     v1 inconsistency (either report copy), which outranks a v2 inconsistency
     (decode failure or mismatching announcements).
     """
-    cutoff = deadline(config)
-
-    def usable(time: float) -> bool:
-        return math.isfinite(time) and time <= cutoff
-
     trials = len(challenges) // config.n
-    if v2_measured is None or not usable(completion_time(materials_v1, materials_v2)):
-        return [Verdict(False, REASON_TIMING, [False] * config.n) for _ in range(trials)]
+    arrival = completion_time(materials_v1, materials_v2)
+    if v2_measured is None or not (math.isfinite(arrival) and arrival <= deadline(config)):
+        return Verdicts(np.zeros(trials, dtype=bool), np.full(trials, _TIMING, dtype=np.int8),
+                        np.zeros((trials, config.n), dtype=bool))
 
     report_2, ann_2 = materials_v2.report, materials_v2.announcement
     expected = challenges ^ (quantum.pauli_frame_from(labels_v1, w_prime) >> 1)
@@ -254,13 +290,11 @@ def judge(
     outcomes_2 = ann_2 if config.variant == VARIANT_TWO_BIT else ann_2 << 1
     v2_bad = v2_measured != report_2 ^ (quantum.pauli_frame_from(labels_v2, outcomes_2) >> 1)
     v2_bad |= materials_v1.announcement != ann_2
-    passes = (~(v1_bad | v2_bad)).reshape(trials, config.n).tolist()
-    v1_failed = v1_bad.reshape(trials, config.n).any(axis=1).tolist()
-    verdicts = []
-    for row, bad_v1 in zip(passes, v1_failed):
-        ok = all(row)
-        verdicts.append(Verdict(ok, REASON_V1 if bad_v1 else REASON_OK if ok else REASON_V2, row))
-    return verdicts
+    passes = ~(v1_bad | v2_bad).reshape(trials, config.n)
+    accepted = passes.all(axis=1)
+    reason = np.where(accepted, np.int8(_OK), np.int8(_V2))
+    reason[v1_bad.reshape(trials, config.n).any(axis=1)] = _V1
+    return Verdicts(accepted, reason, passes)
 
 
 class TrialCore:
@@ -420,8 +454,8 @@ class TrialCore:
         self.timeline.schedule(at, self.pool, "pool", None, "verifiers exchange outcomes and decide")
         self.timestamps["pooled_at"] = at
 
-    def compute_verdicts(self) -> list[Verdict]:
-        """One verdict per trial; call once the run is quiescent."""
+    def compute_verdicts(self) -> Verdicts:
+        """The verdict of every trial; call once the run is quiescent."""
         return judge(self.config, self.challenges, self.labels_v1, self.labels_v2, self.w_prime,
                      self.v2_measured, self.materials_v1, self.materials_v2)
 
@@ -519,7 +553,7 @@ def run_honest(
     return core.compute_verdicts()[0], core.build_transcripts(), events
 
 
-def run_honest_batch(config: ProtocolConfig, trial_seeds: Sequence[int]) -> list[Verdict]:
+def run_honest_batch(config: ProtocolConfig, trial_seeds: Sequence[int]) -> Verdicts:
     """Many honest trials in one vectorized pass: ``[t]`` equals ``run_honest(config, trial_seeds[t])``."""
     core = TrialCore(config, trial_seeds=trial_seeds)
     _execute(core, _HonestProver(core))

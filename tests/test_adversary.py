@@ -14,10 +14,11 @@ from qpv.adversary import (
     run_attack,
     run_attack_batch,
 )
-from qpv.analysis import trial_keys, trial_seed
+from qpv.analysis import run_trial_batch, trial_keys, trial_seed
 from qpv.protocol import (
     ProtocolConfig,
     REASON_TIMING,
+    REASONS,
     TrialCore,
     VARIANT_SINGLE_BIT,
     VARIANTS,
@@ -73,6 +74,7 @@ class TestAttackConfig:
     @pytest.mark.parametrize("kwargs,match", [
         (dict(delta="0.1"), "delta must be a number"),
         (dict(strategy=[]), "strategy must be a string"),
+        (dict(delta=10 ** 400), "delta must be a number in the float range"),
     ])
     def test_wrong_kind(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -130,7 +132,7 @@ class TestGuess:
         v2_ok = judge_slots(guess, ann=pp2, measured=v2_measured, l2=shared_v2)
         v1_own = judge_slots(true_report, psi=psi, w=w, l1=shared_v1)
         v1_cross = judge_slots(guess, psi=psi, w=w, l1=shared_v1)
-        assert all(v.accepted for v in v2_ok + v1_own)  # local checks always pass
+        assert all(v.accepted for v in [*v2_ok, *v1_own])  # local checks always pass
         pooled = judge_slots(true_report, report_2=guess, psi=psi, w=w, l1=shared_v1,
                              ann=pp2, measured=v2_measured, l2=shared_v2)
         assert [v.accepted for v in pooled] == [v.accepted for v in v1_cross]
@@ -282,6 +284,12 @@ class TestSoundnessTimingDichotomy:
             assert content.verdict.accepted
 
 
+_SCENARIO_CELLS = [
+    ("honest", False),
+    *[(strategy, diagnostic) for strategy in SHIPPED_STRATEGIES for diagnostic in (False, True)],
+]
+
+
 class TestOneVerdictPath:
     @pytest.mark.parametrize("strategy", SHIPPED_STRATEGIES)
     def test_diagnostic_is_infinite_slack(self, strategy):
@@ -291,10 +299,7 @@ class TestOneVerdictPath:
             assert run_attack(config, seed=seed, diagnostic=True).verdict == run_attack(unbounded, seed=seed).verdict
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("scenario,diagnostic", [
-        ("honest", False),
-        *[(strategy, diagnostic) for strategy in SHIPPED_STRATEGIES for diagnostic in (False, True)],
-    ])
+    @pytest.mark.parametrize("scenario,diagnostic", _SCENARIO_CELLS)
     def test_batch_verdicts_match_serial(self, scenario, diagnostic, variant):
         protocol = ProtocolConfig(n=3, variant=variant)
         seeds = trial_keys(12, scenario, 3, np.arange(20))
@@ -306,6 +311,28 @@ class TestOneVerdictPath:
             serial = [run_attack(config, seed, diagnostic=diagnostic).verdict for seed in seeds]
             batch = run_attack_batch(config, seeds, diagnostic=diagnostic)
         assert batch == serial
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("scenario,diagnostic", _SCENARIO_CELLS)
+    def test_batch_arrays_match_serial(self, scenario, diagnostic, variant, n):
+        protocol = ProtocolConfig(n=n, variant=variant)
+        trials = 32
+        seeds = trial_keys(5, scenario, n, np.arange(trials))
+        if scenario == "honest":
+            config = protocol
+            serial = [run_honest(protocol, seed)[0] for seed in seeds]
+            batch = run_honest_batch(protocol, seeds)
+        else:
+            config = AttackConfig(strategy=scenario, delta=0.1, protocol=protocol)
+            serial = [run_attack(config, seed, diagnostic=diagnostic).verdict for seed in seeds]
+            batch = run_attack_batch(config, seeds, diagnostic=diagnostic)
+        assert batch.accepted.shape == batch.reason.shape == (trials,) and batch.passes.shape == (trials, n)
+        assert batch.accepted.tolist() == [v.accepted for v in serial]
+        assert [REASONS[code] for code in batch.reason] == [v.reason for v in serial]
+        assert batch.passes.tolist() == [v.pair_passes for v in serial]
+        if not diagnostic:
+            assert run_trial_batch(config, seeds) == sum(v.accepted for v in batch)
 
 
 class TestExtremeDraws:

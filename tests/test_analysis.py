@@ -10,6 +10,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -406,6 +407,15 @@ class TestReports:
         assert parsed.rows == result.rows
         # CSV carries no master seed (nor x, delta, rounds, variant): they parse back as defaults
         assert result.spec.master_seed == 7 and parsed.spec.master_seed == ExperimentSpec().master_seed
+
+    def test_numpy_ints_in_spec_round_trip(self):
+        spec = ExperimentSpec(scenario="guess", n_values=(np.int64(1), np.int32(2)), trials=np.int64(40),
+                              master_seed=np.uint64(7), rounds=np.int16(2))
+        result = run_experiment(spec)
+        assert result.rows == run_experiment(ExperimentSpec(scenario="guess", n_values=(1, 2), trials=40,
+                                                            master_seed=7, rounds=2)).rows
+        assert parse_report(render_json(result), "json") == result
+        assert parse_report(render_csv(result), "csv").rows == result.rows
 
     def test_floats_use_twelve_significant_digits(self):
         result = self._result()

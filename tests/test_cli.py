@@ -132,6 +132,11 @@ class TestConfigFile:
         ("attack", {"seed": None}, "seed must be an int"),
         ("montecarlo", {"out": 5}, "out must be a string"),
         ("montecarlo", {"scenario": "honest", "delta": "0.1"}, "delta must be a number"),
+        ("run", {"x": 10 ** 400}, "x must be a number in the float range"),
+        ("attack", {"delta": 10 ** 400}, "delta must be a number in the float range"),
+        ("run", {"deadline_slack": -10 ** 400}, "deadline_slack must be a number in the float range"),
+        ("montecarlo", {"scenario": "honest", "x": 10 ** 400, "n": [1]}, "x must be a number in the float range"),
+        ("montecarlo", {"out": "no_such_qpv_dir/missing/r.json"}, "'no_such_qpv_dir/missing' does not exist"),
     ])
     def test_rejected(self, tmp_path, capsys, monkeypatch, command, settings, key):
         def no_grid(*args, **kwargs):

@@ -14,8 +14,10 @@ from qpv.protocol import (
     REASON_TIMING,
     REASON_V1,
     REASON_V2,
+    REASONS,
     VARIANT_SINGLE_BIT,
     VARIANT_TWO_BIT,
+    Verdict,
     announcement,
     deadline,
     judge,
@@ -65,6 +67,11 @@ class TestConfig:
             (dict(x=True), "x must be a number, got True"),
             (dict(n=1, bell_labels_v1=[True]), "bell_labels_v1 entry must be an int, got True"),
             (dict(n=1, challenge_states=[1.0]), "challenge_states entry must be an int, got 1.0"),
+            (dict(x=10 ** 400), "x must be a number in the float range"),
+            (dict(x=-10 ** 400), "x must be a number in the float range"),
+            (dict(deadline_slack=10 ** 400), "deadline_slack must be a number in the float range"),
+            (dict(prover_delay=10 ** 400), "prover_delay must be a number in the float range"),
+            (dict(x=10 ** 308), "x must be positive with 2x finite"),  # an exact int 2x is finite, the float is not
         ],
     )
     def test_invalid(self, kwargs, match):
@@ -279,6 +286,25 @@ class TestJudge:
         fx.v1.time = 3.0
         fx.v2.report = np.array([1, 0])
         assert fx.verdict().reason == REASON_TIMING
+
+    def test_timing_rejects_every_trial_as_arrays(self):
+        n, trials = 3, 4
+        config = ProtocolConfig(n=n)
+        zeros = np.zeros(n * trials, dtype=np.int64)
+
+        def verdicts(v2_time, measured=zeros):
+            v1, v2 = MaterialStore(n * trials), MaterialStore(n * trials)
+            v1.receive(zeros, zeros, deadline(config))
+            v2.receive(zeros, zeros, v2_time)
+            return judge(config, zeros, zeros, zeros, zeros, measured, v1, v2)
+
+        assert verdicts(deadline(config)).accepted.tolist() == [True] * trials  # on time, the content passes
+        for late in (verdicts(math.nextafter(deadline(config), math.inf)), verdicts(math.inf),
+                     verdicts(deadline(config), measured=None)):
+            assert late.accepted.tolist() == [False] * trials
+            assert late.reason.tolist() == [REASONS.index(REASON_TIMING)] * trials
+            assert late.passes.shape == (trials, n) and not late.passes.any()
+            assert late == [Verdict(False, REASON_TIMING, [False] * n)] * trials
 
 
 class TestTranscriptSerialization:

@@ -155,10 +155,12 @@ def rejected(line: str, config: dict | None) -> str:
 
 
 def batch(scenario: str, protocol: ProtocolConfig, diagnostic: bool) -> str:
+    """The batch's verdicts, each rendered as a ``Verdict``, whatever sequence the batch returns them in."""
     keys = trial_keys(7, scenario, protocol.n, np.arange(BATCH_TRIALS))
     if scenario == "honest":
-        return repr(run_honest_batch(protocol, keys))
-    return repr(run_attack_batch(AttackConfig(strategy=scenario, protocol=protocol), keys, diagnostic=diagnostic))
+        return repr(list(run_honest_batch(protocol, keys)))
+    return repr(list(run_attack_batch(AttackConfig(strategy=scenario, protocol=protocol), keys,
+                                      diagnostic=diagnostic)))
 
 
 def cases():
