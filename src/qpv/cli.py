@@ -138,6 +138,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     directory = os.path.dirname(out) or "."
     if not os.path.isdir(directory):  # refused before the grid runs, not after
         raise ValueError(f"out {out!r}: directory {directory!r} does not exist")
+    if not out or os.path.isdir(out):
+        raise ValueError(f"out {out!r} must name a file, not a directory")
     result = run_experiment(spec, workers=settings.get("workers", os.cpu_count() or 1))
     write_report(result, out, fmt)
     print(render_csv(result).rstrip("\n"))

@@ -5,13 +5,14 @@ One engine, :class:`BatchRegister`, holds many independent registers as rows
 verifiers need is XOR on 2-bit labels (``pauli_frame_from``, ``swap_label``).
 
 Layout: amplitudes are stored batch-last, one contiguous ``(2**live, rows)``
-complex array over the live (unmeasured) qubits in handle order. A
-measurement moves its qubits' axes to the front, applies the real basis
-matrix as one float64 GEMM on the float view and keeps each row's outcome
-slice. Every measurement in the protocol is final, so a measurement consumes
-its qubits: they leave the array, and any later operation on one raises
-InvalidTargetError. ``BatchRegister.states`` is a view of the array,
-``(rows, 2**live)``, for tests and oracles.
+array over the live (unmeasured) qubits in handle order: float64, as every
+state the protocol makes is real, or complex128 once a complex payload joins.
+A measurement moves its qubits' axes to the front, applies the real basis
+matrix as one float64 GEMM (on a complex array, over its float view) and keeps
+each row's outcome slice. Every measurement in the protocol is final, so a
+measurement consumes its qubits: they leave the array, and any later
+operation on one raises InvalidTargetError. ``BatchRegister.states`` is a
+view of the array, ``(rows, 2**live)``, for tests and oracles.
 
 Conventions, fixed once and used everywhere:
 
@@ -96,22 +97,23 @@ def swap_label(shared1, shared2, outcome):
 
 
 def _pick_rows(probs: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row outcome by inverse CDF, and the renormalized probabilities.
+    """Per-row outcome by inverse CDF, and the renormalized probabilities; ``probs`` is (outcomes, rows).
 
     Probabilities <= ``ATOL`` (rounding residue of impossible outcomes) are
     zeroed first, and a row picks the first outcome whose cumulative
     probability exceeds its uniform, which therefore has nonzero probability
-    for every uniform in [0, 1]. Raises InvalidTargetError if all of a row's
-    probabilities vanish.
+    for every uniform in [0, 1]. The running sums never decrease, so that
+    outcome is the count of sums at or below the uniform. Raises
+    InvalidTargetError if all of a row's probabilities vanish.
     """
     probs = np.where(probs > ATOL, probs, 0.0)
-    cum = np.cumsum(probs, axis=1)
-    total = cum[:, -1:]
+    cum = np.cumsum(probs, axis=0)
+    total = cum[-1]
     if not total.all():
         raise InvalidTargetError("all projection norms vanished")
     # Below 1 by more than rounding, so the last cumulative value always exceeds the target.
-    target = np.minimum(np.asarray(uniforms), _MAX_UNIFORM)[:, None] * total
-    return np.argmax(cum > target, axis=1), probs / total
+    target = np.minimum(np.asarray(uniforms), _MAX_UNIFORM) * total
+    return (cum[:-1] <= target).sum(axis=0), probs / total
 
 
 def _leading(amps: np.ndarray, live: list[int], qubits: list[int]) -> np.ndarray:
@@ -137,7 +139,7 @@ class BatchRegister:
     def __init__(self, batch_size: int):
         self.batch_size = batch_size
         self.handles: list[QubitHandle] = []
-        self._amps: np.ndarray | None = None  # (2**len(_live), batch), C-contiguous
+        self._amps = np.ones((1, batch_size))  # (2**len(_live), batch), C-contiguous; no qubit yet
         self._live: list[int] = []  # qubit index of each leading axis of _amps, ascending
         self._rows = np.arange(batch_size)
 
@@ -151,7 +153,7 @@ class BatchRegister:
 
         A view of the amplitudes, so a write to it changes the register.
         """
-        return None if self._amps is None else self._amps.T
+        return self._amps.T if self.handles else None
 
     def _grow(self, block: np.ndarray, count: int, owners: Sequence[object]) -> list[QubitHandle]:
         expected = (self.batch_size, 2 ** count)
@@ -160,32 +162,27 @@ class BatchRegister:
         norms = np.einsum("bi,bi->b", block.conj(), block).real
         if np.abs(norms - 1.0).max() > ATOL:
             raise ValueError("appended block is not normalized")
-        if self._amps is None:
-            self._amps = np.ascontiguousarray(block.T, dtype=complex)
-        else:
-            self._amps = (self._amps[:, None, :] * np.ascontiguousarray(block.T)).reshape(-1, self.batch_size)
+        self._amps = (self._amps[:, None, :] * np.ascontiguousarray(block.T)).reshape(-1, self.batch_size)
         new = [QubitHandle(index=self.num_qubits + i, owner=owners[i]) for i in range(count)]
         self.handles.extend(new)
         self._live.extend(handle.index for handle in new)
         return new
 
     def append_qubit(self, amplitudes: np.ndarray, owner: object = None) -> QubitHandle:
-        """Append one fresh qubit per row; amplitudes shaped (batch, 2) or (2,)."""
-        amps = np.asarray(amplitudes, dtype=complex)
+        """Append one fresh qubit per row; amplitudes shaped (batch, 2) or (2,), real or complex."""
+        amps = np.asarray(amplitudes)
+        amps = amps.astype(np.result_type(amps, np.float64), copy=False)
         if amps.ndim == 1:
             amps = np.broadcast_to(amps, (self.batch_size, amps.size))
         return self._grow(amps, 1, [owner])[0]
 
     def append_hadamard_eigenstates(self, bits: np.ndarray, owner: object = None) -> QubitHandle:
         """Append |+>/|-> per row according to ``bits``."""
-        return self.append_qubit(HADAMARD_BASIS[np.asarray(bits, dtype=np.intp)].astype(complex), owner)
+        return self.append_qubit(HADAMARD_BASIS[np.asarray(bits, dtype=np.intp)], owner)
 
     def append_bell(self, labels: np.ndarray, owner_first: object = None, owner_second: object = None):
         """Append one Bell pair per row; ``labels`` are label indices (batch,)."""
-        idx = np.asarray(labels, dtype=np.intp)
-        block = BELL_MATRIX[idx].astype(complex)
-        h1, h2 = self._grow(block, 2, [owner_first, owner_second])
-        return h1, h2
+        return tuple(self._grow(BELL_MATRIX[np.asarray(labels, dtype=np.intp)], 2, [owner_first, owner_second]))
 
     def _check_access(self, handle: QubitHandle, by: object) -> None:
         if not (handle.index < len(self.handles) and self.handles[handle.index] is handle):
@@ -212,20 +209,22 @@ class BatchRegister:
             raise InvalidTargetError("measurement targets must be distinct qubits")
         qubits = [handle.index for handle in handles]
         # A real basis acts on real and imaginary parts alike: one float GEMM on the float view.
-        mats = _leading(self._amps, self._live, qubits).view(np.float64)
-        projected = (basis @ mats).view(complex).reshape(len(basis), -1, self.batch_size)
-        probs = (projected.real * projected.real + projected.imag * projected.imag).sum(axis=1)
-        rows = self._rows
+        mats = _leading(self._amps, self._live, qubits)
+        projected = (basis @ mats.view(np.float64)).view(mats.dtype).reshape(len(basis), -1, self.batch_size)
+        if projected.dtype == np.float64:
+            probs = (projected * projected).sum(axis=1)
+        else:
+            probs = (projected.real * projected.real + projected.imag * projected.imag).sum(axis=1)
         if outcomes is None:
-            outcomes, probs = _pick_rows(probs.T, uniforms)
-            picked = probs[rows, outcomes]
+            outcomes, probs = _pick_rows(probs, uniforms)
+            picked = probs[outcomes, self._rows]
         else:
             outcomes = np.asarray(outcomes, dtype=np.intp)
-            picked = probs[outcomes, rows]
+            picked = probs[outcomes, self._rows]
             if (picked <= ATOL).any():
                 raise InvalidTargetError("projection onto a forced outcome has zero probability")
         chosen = np.take_along_axis(projected, outcomes[None, None, :], axis=0)[0]
-        # numpy divides a complex by a real as a product with its reciprocal: the same values, faster
+        # numpy divides a complex by a real as a product with its reciprocal; a real array takes the same product
         self._amps = chosen * (1.0 / np.sqrt(picked))
         self._live = [q for q in self._live if q not in qubits]
         return outcomes, picked

@@ -137,17 +137,21 @@ class TestConfigFile:
         ("run", {"deadline_slack": -10 ** 400}, "deadline_slack must be a number in the float range"),
         ("montecarlo", {"scenario": "honest", "x": 10 ** 400, "n": [1]}, "x must be a number in the float range"),
         ("montecarlo", {"out": "no_such_qpv_dir/missing/r.json"}, "'no_such_qpv_dir/missing' does not exist"),
+        ("montecarlo", {"out": "."}, "out '.' must name a file"),
+        ("montecarlo", {"out": ""}, "out '' must name a file"),
     ])
     def test_rejected(self, tmp_path, capsys, monkeypatch, command, settings, key):
         def no_grid(*args, **kwargs):
             raise AssertionError("a rejected config ran the Monte Carlo grid")
 
         monkeypatch.setattr(cli, "run_experiment", no_grid)
+        monkeypatch.chdir(tmp_path)  # a relative out lands here
         path = tmp_path / "config.json"
         path.write_text(json.dumps(settings))
         assert main([command, "--config", str(path), "--n", "2"] if command == "attack" else
                     [command, "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
+        assert [entry.name for entry in tmp_path.iterdir()] == ["config.json"]
 
     def test_json_types_accepted(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -248,6 +252,15 @@ class TestMonteCarlo:
         capsys.readouterr()
         assert code == 0
         assert json.loads(out_path.read_text())["trials"] == 60
+
+    @pytest.mark.parametrize("out", ["r.json", "./r.json", "sub/r.json", "existing.json"])
+    def test_file_outs_accepted(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "existing.json").write_text("old")
+        assert main(["montecarlo", "--n", "1", "--trials", "10", "--workers", "1", "--out", out]) == 0
+        assert f"report written to {out}" in capsys.readouterr().out
+        assert (tmp_path / out).read_text().startswith("{")
 
     def test_invalid_n_rejected(self, tmp_path, capsys):
         for n in ("1,0", "1,a"):

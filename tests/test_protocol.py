@@ -18,6 +18,7 @@ from qpv.protocol import (
     VARIANT_SINGLE_BIT,
     VARIANT_TWO_BIT,
     Verdict,
+    Verdicts,
     announcement,
     deadline,
     judge,
@@ -225,11 +226,12 @@ class TestRunHonest:
         assert all(v.accepted for v in full) and all(v.accepted for v in reduced)
 
     def test_pooling_happens_at_deadline(self):
-        config = ProtocolConfig(n=1, x=2.5)
-        _, transcripts, events = run_honest(config, seed=0)
-        assert transcripts[0].timestamps["pooled_at"] == 5.0
-        pool_events = [e for e in events if e.kind == "pool"]
-        assert len(pool_events) == 1 and pool_events[0].time == 5.0
+        for slack, expected in [(0.0, 5.0), (0.75, 5.75)]:  # with slack, the deadline is not 2x
+            config = ProtocolConfig(n=1, x=2.5, deadline_slack=slack)
+            _, transcripts, events = run_honest(config, seed=0)
+            assert transcripts[0].timestamps["pooled_at"] == expected
+            pool_events = [e for e in events if e.kind == "pool"]
+            assert len(pool_events) == 1 and pool_events[0].time == expected
 
     def test_event_log_serializes(self):
         _, _, events = run_honest(ProtocolConfig(n=1), seed=0)
@@ -305,6 +307,30 @@ class TestJudge:
             assert late.reason.tolist() == [REASONS.index(REASON_TIMING)] * trials
             assert late.passes.shape == (trials, n) and not late.passes.any()
             assert late == [Verdict(False, REASON_TIMING, [False] * n)] * trials
+
+
+class TestVerdicts:
+    """Two batches of verdicts are equal only when every accept, reason and pair pass is."""
+
+    @staticmethod
+    def _verdicts(reason, passes):
+        reason = np.array([REASONS.index(name) for name in reason], dtype=np.int8)
+        return Verdicts(reason == REASONS.index(REASON_OK), reason, np.array(passes, dtype=bool))
+
+    def test_equal_content_compares_equal(self):
+        first = self._verdicts([REASON_OK, REASON_V1], [[True, True], [True, False]])
+        second = self._verdicts([REASON_OK, REASON_V1], [[True, True], [True, False]])
+        assert first == second and first == list(second) and list(first) == second
+
+    @pytest.mark.parametrize("reason,passes", [
+        ([REASON_OK, REASON_V2], [[True, True], [True, False]]),  # one reason differs
+        ([REASON_OK, REASON_V1], [[True, True], [False, False]]),  # one pair pass differs
+    ])
+    def test_one_difference_compares_unequal(self, reason, passes):
+        base = self._verdicts([REASON_OK, REASON_V1], [[True, True], [True, False]])
+        changed = self._verdicts(reason, passes)
+        assert base != changed and changed != base
+        assert base != list(changed) and changed != list(base)
 
 
 class TestTranscriptSerialization:

@@ -4,6 +4,7 @@ The reference for every register operation is the dense algebra in
 :mod:`qpv.oracles`; a single register is a one-row ``BatchRegister``.
 """
 
+import itertools
 from functools import partial
 
 import numpy as np
@@ -19,6 +20,8 @@ from qpv.quantum import (
     NotProductError,
     OwnershipError,
     SQRT_HALF,
+    _MAX_UNIFORM,
+    _pick_rows,
     pauli_frame_from,
     swap_label,
 )
@@ -47,6 +50,7 @@ def teleport_register(payloads: np.ndarray, labels) -> tuple[BatchRegister, obje
     """Rows of (payload, sender half, receiver half), the layout of a teleport."""
     reg = BatchRegister(len(payloads))
     payload = reg.append_qubit(payloads)
+    assert reg.states.dtype == np.result_type(payloads, np.float64)  # a complex payload makes the register complex
     sender, receiver = reg.append_bell(np.broadcast_to(labels, len(payloads)))
     return reg, payload, sender, receiver
 
@@ -579,6 +583,38 @@ class TestBatchSampler:
             assert prob > ATOL
             np.testing.assert_allclose(np.linalg.norm(batch.states[row]), 1.0, atol=ATOL)
 
+    @staticmethod
+    def argmax_picker(probs, uniforms):
+        """The reference rule, rows first: the first outcome whose running sum exceeds the target."""
+        probs = np.where(probs > ATOL, probs, 0.0).T
+        cum = np.cumsum(probs, axis=1)
+        total = cum[:, -1:]
+        target = np.minimum(uniforms, _MAX_UNIFORM)[:, None] * total
+        return np.argmax(cum > target, axis=1), (probs / total).T
+
+    @pytest.mark.parametrize("outcomes", [2, 4])
+    def test_picker_matches_reference_at_the_edges(self, outcomes):
+        entries = [0.0, ATOL / 2, 0.25, 0.5, 1.0]
+        columns = np.array([column for column in itertools.product(entries, repeat=outcomes) if any(column)])
+        columns /= columns.sum(axis=1, keepdims=True)
+        # each quarter boundary with its neighbouring floats in [0, 1], and the largest 32-bit draw
+        uniforms = sorted({u for k in range(5) for u in (np.nextafter(k / 4, 0.0), k / 4, np.nextafter(k / 4, 1.0))}
+                          | {1.0 - 2.0 ** -32})
+        probs = np.repeat(columns, len(uniforms), axis=0).T  # (outcomes, rows), every column at every uniform
+        draws = np.tile(uniforms, len(columns))
+        picked, renormalized = _pick_rows(probs, draws)
+        expected, expected_renormalized = self.argmax_picker(probs, draws)
+        np.testing.assert_array_equal(picked, expected)
+        np.testing.assert_array_equal(renormalized, expected_renormalized)
+        assert (probs[picked, np.arange(len(draws))] > ATOL).all()
+
+    @pytest.mark.parametrize("outcomes", [2, 4])
+    def test_picker_refuses_vanished_columns(self, outcomes):
+        for column in itertools.product([0.0, ATOL / 2, ATOL], repeat=outcomes):
+            probs = np.array([[1.0] + [0.0] * (outcomes - 1), column]).T  # a possible row, then a vanished one
+            with pytest.raises(InvalidTargetError, match="vanished"):
+                _pick_rows(probs, np.array([0.5, 0.5]))
+
     def test_vanished_row_rejected(self):
         batch = BatchRegister(2)
         first, second = batch.append_bell(np.zeros(2, dtype=np.intp))
@@ -587,6 +623,34 @@ class TestBatchSampler:
             batch.bsm(first, second, np.zeros(2))
         with pytest.raises(InvalidTargetError, match="vanished"):
             batch.hadamard_measure(first, np.zeros(2))
+
+
+class TestDtype:
+    """A register is float64 while every state in it is real, and complex128 once a complex payload joins."""
+
+    def test_real_states_stay_real(self):
+        reg = BatchRegister(4)
+        payload = reg.append_qubit([1, 0])
+        sender, receiver = reg.append_bell(np.arange(4))
+        challenge = reg.append_hadamard_eigenstates([0, 1, 1, 0])
+        assert reg.states.dtype == np.float64
+        reg.project_bell(payload, sender, [0, 2, 0, 2])
+        reg.apply_frame(receiver, [0, 1, 0, 1], [1, 1, 0, 0])
+        reg.hadamard_measure(challenge, np.full(4, 0.5))
+        assert reg._amps.dtype == reg.states.dtype == np.float64
+
+    def test_complex_payload_joining_a_real_register(self):
+        rng = np.random.default_rng(3)
+        payloads = np.array([oracles.random_qubit_state(rng) for _ in range(4)])
+        reg = BatchRegister(4)
+        outer, inner = reg.append_bell(np.arange(4))
+        payload = reg.append_qubit(payloads)
+        assert reg._amps.dtype == reg.states.dtype == np.complex128
+        outcomes = reg.bsm(payload, inner, np.full(4, 0.3))
+        received = reg.reduced_state(outer)
+        for row in range(4):
+            expected = oracles.teleport_receiver_oracle(payloads[row], row, outcomes[row])
+            assert oracles.equal_up_to_phase(received[row], expected)
 
 
 class TestFactoredQubits:
